@@ -281,6 +281,12 @@ def cmd_probe(cfg) -> int:
     return EXIT_OK
 
 
+# Config keys a sweep cell's result depends on besides its arch and depth; a
+# cached cell.json is reused only when it was computed from the same values.
+SWEEP_CELL_KEYS = ("d", "n", "M", "gamma", "seed", "sweep_m", "theta_per_L",
+                   "sweep_eta_scale", "steps_budget", "surrogate_target")
+
+
 def cmd_sweep(cfg) -> int:
     root = RngState(cfg["seed"])
     sweep_rng = root.substream("sweep")
@@ -292,17 +298,20 @@ def cmd_sweep(cfg) -> int:
     rows = []
     for arch in cfg["sweep_arch"]:
         for L in cfg["sweep_L"]:
+            inputs = {"arch": arch, "L": L, **{k: cfg[k] for k in SWEEP_CELL_KEYS}}
             cell_dir = os.path.join(cfg["out"], f"cell_{arch}_L{L}")
             cell_file = os.path.join(cell_dir, "cell.json")
-            if os.path.exists(cell_file):  # completed cells are never redone
+            row = None
+            if os.path.exists(cell_file):
                 with open(cell_file, "r", encoding="utf-8") as fh:
                     row = json.load(fh)
-            else:
+            if row is None or row.get("inputs") != inputs:  # absent or stale
                 row = probes.sweep_cell(
                     sweep_rng, arch, L, ds, cfg["d"], cfg["sweep_m"],
                     cfg["sweep_m"], cfg["theta_per_L"], cfg["sweep_eta_scale"],
                     cfg["steps_budget"], cfg["surrogate_target"],
                     probe_inputs=probe_inputs)
+                row["inputs"] = inputs
                 os.makedirs(cell_dir, exist_ok=True)
                 with open(cell_file, "w", encoding="utf-8", newline="\n") as fh:
                     json.dump(row, fh, sort_keys=True, indent=2)

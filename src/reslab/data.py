@@ -244,13 +244,17 @@ def load_dataset(path) -> MarginDataset:
     teacher = Teacher(directions, coeffs, gamma)
     if np.any(np.abs(ys) != 1.0):
         raise DataInvariantError(f"{path}: labels must be ±1")
+    finite = np.all(np.isfinite(xs), axis=1)
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
+        raise DataInvariantError(f"{path}: sample {bad} has non-finite entries")
     norms = np.linalg.norm(xs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise DataInvariantError(
             f"{path}: sample {bad} is off the unit sphere (norm {norms[bad]:.6f})")
     margins = ys * teacher_eval(teacher, xs)
-    if np.any(margins < gamma - 1e-12):
+    if not np.all(margins >= gamma - 1e-12):  # a NaN margin fails too
         bad = int(np.argmin(margins))
         raise DataInvariantError(
             f"{path}: sample {bad} violates the margin certificate "

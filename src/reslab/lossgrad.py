@@ -73,7 +73,7 @@ class GradientSet:
         if self.factors is not None:
             return tuple(numkit.factored_spectral_norm(a, b, iters, tol)
                          for a, b in self.factors)
-        return tuple(numkit.spectral_norm(g, iters, tol) for g in self.layers)
+        return tuple(numkit.spectral_norm(g) for g in self.layers)
 
 
 def _backward_rows(params: NetworkParams, bt: BatchTrace) -> list:

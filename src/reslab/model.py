@@ -148,7 +148,7 @@ def init_gaussian(rng: RngState, d: int, L: int, m: int, m_last: int,
 
 def _check_unit_rows(x: np.ndarray) -> None:
     norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # NaN rows fail too
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"inputs must lie on the unit sphere (|‖x‖−1| ≤ {NORM_TOL}); "
                          f"worst deviation {worst:.3g}")
@@ -260,20 +260,9 @@ class InterlayerOp:
     def in_dim(self) -> int:
         return self.params.dim_at(self.l - 1)
 
-    @property
-    def out_dim(self) -> int:
-        return self.params.dim_at(self.lp) if self.lp >= self.l else self.in_dim
-
 
 def _factor_apply(params, pattern, w, r, a):
     masked = pattern * (w.T @ a)
-    if params.arch == ARCH_RESIDUAL and 2 <= r <= params.depth:
-        return a + params.theta * masked
-    return masked
-
-
-def _factor_apply_t(params, pattern, w, r, a):
-    masked = w @ (pattern * a)
     if params.arch == ARCH_RESIDUAL and 2 <= r <= params.depth:
         return a + params.theta * masked
     return masked
@@ -291,31 +280,19 @@ def interlayer_apply(op: InterlayerOp, a: Vector) -> Vector:
     return out
 
 
-def interlayer_apply_t(op: InterlayerOp, a: Vector) -> Vector:
-    """Transpose application (H_l^{l'})ᵀ · a; needed for norm estimation."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (op.out_dim,):
-        raise ShapeError(f"operand has shape {a.shape}, operator expects ({op.out_dim},)")
-    params = op.params
-    out = a
-    for r in range(op.lp, op.l - 1, -1):
-        out = _factor_apply_t(params, op.trace.pattern(r), params.weights[r - 1], r, out)
-    return out
+def interlayer_norm(op: InterlayerOp) -> float:
+    """Spectral norm of H_l^{l'}, exact to rounding.
 
-
-def interlayer_norm(op: InterlayerOp, iters: int = 500, tol: float = 1e-10,
-                    restarts: int = 0) -> float:
-    """Spectral norm of H_l^{l'}, matrix-free (the product is never formed).
-
-    Frozen patterns randomize the operator enough that the deterministic
-    all-ones start is safe; restarts default off since each one replays the
-    whole layer chain per iteration.
+    The operator is formed explicitly, starting from the identity and
+    applying each factor to every column at once, and its top singular value
+    comes from a LAPACK SVD.  An empty range (l > l') is the identity.
     """
-    est, _ = numkit.operator_norm(
-        lambda vec: interlayer_apply(op, vec),
-        lambda vec: interlayer_apply_t(op, vec),
-        op.in_dim, iters=iters, tol=tol, restarts=restarts)
-    return est
+    params = op.params
+    h = np.eye(op.in_dim)
+    for r in range(op.l, op.lp + 1):
+        h = _factor_apply(params, op.trace.pattern(r)[:, None],
+                          params.weights[r - 1], r, h)
+    return numkit.spectral_norm(h)
 
 
 def output_via_interlayer(trace: ActivationTrace, l: int) -> float:
@@ -383,7 +360,10 @@ def load_checkpoint(path) -> NetworkParams:
                 raise CheckpointFormatError(
                     f"{path}: truncated payload for layer {l} at byte {offset}")
             offset += len(buf)
-            weights.append(np.frombuffer(buf, dtype="<f8").reshape(dims[l - 1], dims[l]).copy())
+            w = np.frombuffer(buf, dtype="<f8").reshape(dims[l - 1], dims[l]).copy()
+            if not np.all(np.isfinite(w)):
+                raise CheckpointFormatError(f"{path}: non-finite weight in layer {l}")
+            weights.append(w)
         if fh.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after byte {offset}")
     return NetworkParams(tuple(weights), float(header["theta"]),

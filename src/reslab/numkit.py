@@ -1,8 +1,11 @@
 """Deterministic dense linear algebra and random sampling substrate.
 
-Everything is float64.  All reductions that feed reported numbers go through
+Everything is float64.  Explicit sums that feed reported numbers go through
 a fixed pairwise tree (``pairwise_sum``) so the result is a function of the
-input order only, never of thread count or chunking.  All sampling flows
+input order only, never of thread count or chunking.  Spectral norms of
+dense matrices come from LAPACK's SVD and are exact to rounding; power
+iteration (``operator_norm``) remains only for factored products AᵀB, where
+it is cheaper than any exact method at the lab's shapes.  All sampling flows
 through :class:`RngState`, which wraps a counter-based generator keyed by
 ``(seed, stream)`` so identical keys replay identical draws on any platform.
 """
@@ -126,7 +129,7 @@ def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(pairwise_sum(x * x)))
 
 
-# Fixed entropy for power-iteration restarts; a constant keeps spectral_norm
+# Fixed entropy for power-iteration restarts; a constant keeps operator_norm
 # a pure function of its arguments.
 _RESTART_ENTROPY = 0x5EEDF00D
 
@@ -182,22 +185,14 @@ def operator_norm(apply, apply_t, dim_in: int, iters: int = 500,
     return best, best_converged
 
 
-def spectral_norm(a: Matrix, iters: int = 500, tol: float = 1e-10,
-                  restarts: int = 2) -> float:
-    """Power-iteration estimate of the largest singular value of ``a``."""
+def spectral_norm(a: Matrix) -> float:
+    """Largest singular value of ``a``, exact to rounding (LAPACK SVD)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise EmptyShapeError(f"spectral_norm needs a nonempty matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericDomainError("spectral_norm: non-finite entries")
-    rows, cols = a.shape
-    if cols <= rows:
-        est, _ = operator_norm(lambda v: a @ v, lambda u: a.T @ u, cols,
-                               iters, tol, restarts)
-    else:
-        est, _ = operator_norm(lambda v: a.T @ v, lambda u: a @ u, rows,
-                               iters, tol, restarts)
-    return est
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def factored_spectral_norm(a: Matrix, b: Matrix, iters: int = 200,

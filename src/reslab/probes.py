@@ -139,8 +139,7 @@ def _default_layer_pairs(L: int) -> list:
 
 
 def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
-                           norm_high=1.5, h_limit=None, h_inputs=5,
-                           h_iters=120) -> ProbeReport:
+                           norm_high=1.5, h_limit=None, h_inputs=5) -> ProbeReport:
     """Hidden-layer norm window and interlayer operator norms.
 
     Measures ||x_l|| for every layer over all inputs, and the spectral norm
@@ -173,7 +172,7 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
     for i in range(min(h_inputs, xs.shape[0])):
         trace = forward(params, xs[i])
         for (l, lp) in pairs:
-            hn = interlayer_norm(InterlayerOp(trace, l, lp), iters=h_iters)
+            hn = interlayer_norm(InterlayerOp(trace, l, lp))
             h_all_max = max(h_all_max, hn)
             if 2 <= l and lp <= L:
                 h_mid_max = max(h_mid_max, hn)
@@ -242,8 +241,7 @@ def _layered_weight_basis(params, wa, wb):
     layer adds ||d_{L+1}||.
     """
     L = params.depth
-    d_spec = [numkit.spectral_norm(a - b, iters=200, tol=1e-8, restarts=0)
-              for a, b in zip(wa, wb)]
+    d_spec = [numkit.spectral_norm(a - b) for a, b in zip(wa, wb)]
     basis = [0.0] * (L + 2)
     basis[1] = d_spec[0]
     run = 0.0
@@ -330,7 +328,7 @@ def _linearization_terms(ref: NetworkParams, bt, deltas) -> np.ndarray:
     for l in range(1, ref.depth + 2):
         b = rows[l] * bt.pattern(l)
         a = bt.activations[l - 1]
-        total += ref.layer_scale(l) * np.einsum("ij,jk,ik->i", a, deltas[l - 1], b)
+        total += ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * b, axis=1)
     return total
 
 
@@ -412,7 +410,7 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     rows = []
 
     def trial(kind, wa, wb, x):
-        h = trainer.step_distance(wa, wb, iters=200, tol=1e-8, restarts=0)
+        h = trainer.step_distance(wa, wb)
         deltas = [a - b for a, b in zip(wa.weights, wb.weights)]
         bta = forward_batch(wa, x[None, :])
         btb = forward_batch(wb, x[None, :])

@@ -89,8 +89,7 @@ class TrainResult:
     steps_run: int = 0
 
 
-def step_distance(a: NetworkParams, b: NetworkParams, iters: int = 300,
-                  tol: float = 1e-9, restarts: int = 1) -> float:
+def step_distance(a: NetworkParams, b: NetworkParams) -> float:
     """Spectral step distance h(a, b); zero iff the weights coincide."""
     if a.widths != b.widths or a.d != b.d:
         raise ValueError("networks have different shapes")
@@ -99,7 +98,7 @@ def step_distance(a: NetworkParams, b: NetworkParams, iters: int = 300,
         diff = a.weights[l - 1] - b.weights[l - 1]
         if not np.any(diff):
             continue  # spectral norm of an exact zero block is zero
-        total += a.layer_scale(l) * numkit.spectral_norm(diff, iters, tol, restarts)
+        total += a.layer_scale(l) * numkit.spectral_norm(diff)
     return total
 
 

@@ -113,8 +113,7 @@ def test_criterion_02_interlayer_depth_independence():
             x = xrng.standard_normal(10)
             x /= np.linalg.norm(x)
             tr = forward(params, x)
-            worst = max(worst, interlayer_norm(InterlayerOp(tr, 2, L),
-                                               iters=80, tol=1e-8))
+            worst = max(worst, interlayer_norm(InterlayerOp(tr, 2, L)))
         maxes[L] = worst
     bound = math.exp(3 * 0.1)  # theta * L = 0.1 at every depth
     ratio = maxes[128] / maxes[8]
@@ -130,7 +129,7 @@ def test_criterion_03_activation_norm_bounds():
     params = init_gaussian(rng.substream("init"), 10, 32, 1024, 1024, 0.1 / 32)
     xs = sphere(rng.substream("x"), 500, 10)
     rep = probes.probe_activation_norms(params, xs, norm_low=0.5, norm_high=1.5,
-                                        h_inputs=2, h_iters=80)
+                                        h_inputs=2)
     ok = rep.verdict == "hold"
     assert report(3, "activation norm bounds", ok,
                   f"range [{rep.measured['xnorm_min']:.3f}, "

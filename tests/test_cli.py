@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +168,20 @@ class TestSweep:
         assert open(csv_path, "rb").read() == first
         assert os.path.getmtime(marker) == stamp
 
+    def test_changed_config_recomputes_cached_cells(self, tmp_path):
+        first = write_config(tmp_path / "a.json", sweep_L=[4, 16], sweep_m=24,
+                             surrogate_target=0.4)
+        second = write_config(tmp_path / "b.json", sweep_L=[4, 16], sweep_m=48,
+                              surrogate_target=0.2)
+        shared, fresh = str(tmp_path / "shared"), str(tmp_path / "fresh")
+        assert main(["sweep", "--config", first, "--out", shared]) == 0
+        stale = open(os.path.join(shared, "sweep.csv"), "rb").read()
+        assert main(["sweep", "--config", second, "--out", shared]) == 0
+        assert main(["sweep", "--config", second, "--out", fresh]) == 0
+        rows = open(os.path.join(shared, "sweep.csv"), "rb").read()
+        assert rows == open(os.path.join(fresh, "sweep.csv"), "rb").read()
+        assert rows != stale
+
 
 class TestMisc:
     def test_gradcheck_passes(self, tmp_path):
@@ -186,3 +203,31 @@ class TestMisc:
 
     def test_report_without_outputs_exits_3(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 3
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+
+def test_artifacts_do_not_depend_on_thread_count(tmp_path):
+    """Train and probe under LAB_THREADS=1 and =2 give the same bytes."""
+    cfg = write_config(tmp_path / "c.json", L=4, m=96, m_last=96, K=15)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(LAB_THREADS=threads, PYTHONPATH=src)
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        for argv in (["gen-data"], ["train"],
+                     ["probe", "--checkpoint", "out/checkpoint.bin", "--probes",
+                      "activation_norms,weight_lipschitz_flips,semismoothness"]):
+            subprocess.run([sys.executable, "-m", "reslab.cli", *argv, "--config",
+                            cfg, "--out", "out"], cwd=cwd, env=env, check=True,
+                           capture_output=True, timeout=300)
+        outputs[threads] = {p.name: p.read_bytes()
+                            for p in sorted((cwd / "out").iterdir())}
+    assert "checkpoint.bin" in outputs["1"] and "semismoothness.report.json" in outputs["1"]
+    assert sorted(outputs["1"]) == sorted(outputs["2"])
+    for name, body in outputs["1"].items():
+        assert body == outputs["2"][name], name

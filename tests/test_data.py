@@ -120,6 +120,17 @@ class TestPersistence:
         with pytest.raises(DataInvariantError):
             load_dataset(path)
 
+    def test_nan_sample_rejected_on_load(self, tmp_path):
+        ds = self.make_ds()
+        xs = ds.xs.copy()
+        xs[3] = np.nan
+        bad = data.MarginDataset(xs, ds.ys, ds.realized_margin,
+                                 ds.teacher, ds.seed, ds.acceptance_rate)
+        path = tmp_path / "bad.bin"
+        save_dataset(bad, path)
+        with pytest.raises(DataInvariantError, match="sample 3"):
+            load_dataset(path)
+
     def test_margin_violation_rejected_on_load(self, tmp_path):
         ds = self.make_ds()
         bad = data.MarginDataset(ds.xs, -ds.ys, ds.realized_margin,

@@ -3,8 +3,8 @@ import pytest
 
 from reslab import model, numkit
 from reslab.model import (InterlayerOp, forward, forward_batch, init_gaussian,
-                          interlayer_apply, interlayer_apply_t, interlayer_norm,
-                          load_checkpoint, output_vector, save_checkpoint)
+                          interlayer_apply, interlayer_norm, load_checkpoint,
+                          output_vector, save_checkpoint)
 from reslab.numkit import RngState
 
 
@@ -52,7 +52,7 @@ class TestInit:
         for seed in range(10):
             p = init_gaussian(RngState(seed), 10, 8, 256, 256, 0.1 / 8)
             for w in p.weights[1:]:
-                s = numkit.spectral_norm(w, iters=300, tol=1e-8)
+                s = numkit.spectral_norm(w)
                 lo, hi = min(lo, s), max(hi, s)
         assert 2.3 <= lo <= hi <= 3.4
 
@@ -88,6 +88,13 @@ class TestForward:
             forward(p, np.ones(4))  # norm 2
         with pytest.raises(model.ShapeError):
             forward(p, unit(np.ones(5)))
+
+    def test_rejects_nan_input_row(self):
+        p = small_net()
+        xs = np.tile(unit(np.ones(4)), (3, 1))
+        xs[1] = np.nan
+        with pytest.raises(ValueError):
+            forward_batch(p, xs)
 
     def test_pattern_bits_match_strict_preactivation_sign(self):
         p = small_net(seed=5)
@@ -172,18 +179,6 @@ class TestInterlayer:
         np.testing.assert_array_equal(interlayer_apply(op, a), a)
         assert interlayer_norm(op) == pytest.approx(1.0, abs=1e-12)
 
-    def test_transpose_is_adjoint(self):
-        p = small_net(seed=17, L=5, m=16, m_last=16)
-        t = forward(p, unit(RngState(18).standard_normal(4)))
-        rng = RngState(19)
-        for (l, lp) in ((2, 5), (1, 4), (3, 6), (2, 3)):
-            op = InterlayerOp(t, l, lp)
-            a = rng.standard_normal(op.in_dim)
-            b = rng.standard_normal(op.out_dim)
-            lhs = float(b @ interlayer_apply(op, a))
-            rhs = float(interlayer_apply_t(op, b) @ a)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_norm_matches_dense_oracle(self):
         p = small_net(seed=20, L=4, m=24, m_last=24)
         t = forward(p, unit(RngState(21).standard_normal(4)))
@@ -192,8 +187,36 @@ class TestInterlayer:
             dense = np.column_stack([interlayer_apply(op, e)
                                      for e in np.eye(op.in_dim)])
             oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
-            assert interlayer_norm(op, iters=2000, tol=1e-12) == pytest.approx(
+            assert interlayer_norm(op) == pytest.approx(
                 oracle, rel=1e-8)
+
+    @staticmethod
+    def dense_h(p, t, l, lp):
+        """H_l^{l'} multiplied out from the weights and the trace's patterns."""
+        h = np.eye(p.dim_at(l - 1))
+        for r in range(l, lp + 1):
+            f = t.pattern(r)[:, None] * p.weights[r - 1].T
+            if p.arch == "residual" and 2 <= r <= p.depth:
+                f = np.eye(f.shape[0]) + p.theta * f
+            h = f @ h
+        return h
+
+    def test_norm_matches_svd_of_dense_product(self):
+        L = 5
+        for arch in ("residual", "plain"):
+            p = small_net(seed=30, d=4, L=L, m=16, m_last=12, theta=0.2 / L, arch=arch)
+            t = forward(p, unit(RngState(31).standard_normal(4)))
+            for (l, lp) in ((1, L), (2, L + 1), (1, L + 1), (2, L), (3, 3),
+                            (L + 1, L + 1), (3, 2), (L + 2, L + 1)):
+                op = InterlayerOp(t, l, lp)
+                dense = self.dense_h(p, t, l, lp)
+                a = RngState(32).standard_normal(op.in_dim)
+                np.testing.assert_allclose(interlayer_apply(op, a), dense @ a,
+                                           rtol=1e-12, atol=1e-14)
+                oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
+                if l > lp:
+                    assert oracle == 1.0
+                assert interlayer_norm(op) == pytest.approx(oracle, rel=1e-10)
 
     def test_submultiplicative_sanity(self):
         p = small_net(seed=22, L=6, m=16, m_last=16)
@@ -248,6 +271,16 @@ class TestCheckpoint:
         path.write_bytes(raw[:-8])
         with pytest.raises(model.CheckpointFormatError):
             load_checkpoint(path)
+
+    def test_nonfinite_weights_rejected(self, tmp_path):
+        p = small_net(seed=29)
+        for bad in (np.inf, -np.inf, np.nan):
+            w = [wl.copy() for wl in p.weights]
+            w[1][2, 3] = bad
+            path = tmp_path / "bad.bin"
+            save_checkpoint(p.with_weights(w), path)
+            with pytest.raises(model.CheckpointFormatError, match="layer 2"):
+                load_checkpoint(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -121,14 +121,29 @@ class TestSpectralNorm:
         for seed in range(3):
             a = numkit.gaussian_matrix(RngState(seed), 256, 256, 2.0 / 256)
             svd_top = float(np.linalg.svd(a, compute_uv=False)[0])
-            est = numkit.spectral_norm(a, iters=2000, tol=1e-12)
+            est = numkit.spectral_norm(a)
             assert est == pytest.approx(svd_top, rel=1e-6)
-            assert est <= svd_top * (1 + 1e-9)  # power iteration never overshoots
+            assert est <= svd_top * (1 + 1e-9)  # never overshoots
 
     def test_rectangular_matches_svd(self):
         a = RngState(2).standard_normal((40, 90))
         svd_top = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert numkit.spectral_norm(a, iters=2000, tol=1e-12) == pytest.approx(svd_top, rel=1e-8)
+        assert numkit.spectral_norm(a) == pytest.approx(svd_top, rel=1e-8)
+
+    def test_exact_against_oracles(self):
+        rng = RngState(7)
+        # U diag(s) Vᵀ with orthonormal U, V has top singular value max(s)
+        u, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        s = np.linspace(0.5, 3.0, 40)
+        assert numkit.spectral_norm(u[:, :40] * s @ v.T) == pytest.approx(3.0, rel=1e-10)
+        x, y = rng.standard_normal(30), rng.standard_normal(50)
+        assert numkit.spectral_norm(np.outer(x, y)) == pytest.approx(
+            np.linalg.norm(x) * np.linalg.norm(y), rel=1e-10)
+        for shape in ((64, 64), (17, 90), (90, 17), (1, 9)):
+            a = rng.standard_normal(shape)
+            oracle = float(np.linalg.svd(a, compute_uv=False)[0])
+            assert numkit.spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
 
     def test_spectral_at_most_frobenius(self):
         rng = RngState(4)
