@@ -285,7 +285,8 @@ def interlayer_norm(op: InterlayerOp) -> float:
 
     The operator is formed explicitly, starting from the identity and
     applying each factor to every column at once, and its top singular value
-    comes from a LAPACK SVD.  An empty range (l > l') is the identity.
+    comes from ``numkit.spectral_norm``.  An empty range (l > l') is the
+    identity.
     """
     params = op.params
     h = np.eye(op.in_dim)

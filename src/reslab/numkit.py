@@ -3,9 +3,10 @@
 Everything is float64.  Explicit sums that feed reported numbers go through
 a fixed pairwise tree (``pairwise_sum``) so the result is a function of the
 input order only, never of thread count or chunking.  Spectral norms of
-dense matrices come from LAPACK's SVD and are exact to rounding; power
-iteration (``operator_norm``) remains only for factored products AᵀB, where
-it is cheaper than any exact method at the lab's shapes.  All sampling flows
+dense matrices are the square root of the top eigenvalue of the smaller
+Gram matrix and are exact to rounding; power iteration (``operator_norm``)
+remains only for the factored gradient norms AᵀB (``h_k``), where it is
+cheaper than any exact method at the lab's shapes.  All sampling flows
 through :class:`RngState`, which wraps a counter-based generator keyed by
 ``(seed, stream)`` so identical keys replay identical draws on any platform.
 """
@@ -13,6 +14,8 @@ through :class:`RngState`, which wraps a counter-based generator keyed by
 from __future__ import annotations
 
 import hashlib
+import math
+import warnings
 
 import numpy as np
 
@@ -109,22 +112,6 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(pairwise_sum(a * a)))
 
 
-def matvec(a: Matrix, x: Vector) -> Vector:
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise EmptyShapeError(f"matvec shape mismatch {a.shape} @ {x.shape}")
-    return a @ x
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise EmptyShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(pairwise_sum(x * x)))
 
@@ -186,13 +173,29 @@ def operator_norm(apply, apply_t, dim_in: int, iters: int = 500,
 
 
 def spectral_norm(a: Matrix) -> float:
-    """Largest singular value of ``a``, exact to rounding (LAPACK SVD)."""
+    """Largest singular value of ``a``, exact to rounding.
+
+    It is the square root of the top eigenvalue of the smaller Gram matrix
+    (aᵀa for tall or square ``a``, aaᵀ for wide).  The top eigenvalue of a
+    Gram matrix is accurate to rounding relative to itself, so only the
+    small singular values, which are not used, lose accuracy.  ``a`` is
+    first divided by the power of two at or below max|a|, which is exact
+    and keeps the Gram matrix from overflowing or underflowing.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise EmptyShapeError(f"spectral_norm needs a nonempty matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericDomainError("spectral_norm: non-finite entries")
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    x = a / scale
+    if x.shape[0] < x.shape[1]:
+        x = x.T
+    top = float(np.linalg.eigvalsh(x.T @ x)[-1])
+    return math.sqrt(max(top, 0.0)) * scale
 
 
 def factored_spectral_norm(a: Matrix, b: Matrix, iters: int = 200,
@@ -200,12 +203,20 @@ def factored_spectral_norm(a: Matrix, b: Matrix, iters: int = 200,
     """Spectral norm of AᵀB without materializing the product.
 
     A is (n, p) and B is (n, q); useful when the product is a sum of n
-    rank-one terms with n much smaller than p, q.
+    rank-one terms with n much smaller than p, q.  Power iteration that
+    stops at ``iters`` without meeting ``tol`` raises a RuntimeWarning; its
+    estimate is then a lower bound.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise EmptyShapeError(f"factored_spectral_norm: {a.shape} vs {b.shape}")
-    est, _ = operator_norm(
+    est, converged = operator_norm(
         lambda v: a.T @ (b @ v), lambda u: b.T @ (a @ u), b.shape[1], iters, tol)
+    if not converged:
+        warnings.warn(
+            f"factored_spectral_norm: power iteration on AᵀB with A {a.shape}, "
+            f"B {b.shape} stopped at {iters} iterations without reaching "
+            f"tol {tol:g}; the estimate {est!r} is a lower bound",
+            RuntimeWarning, stacklevel=2)
     return est

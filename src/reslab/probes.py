@@ -117,15 +117,20 @@ class PerturbationBall:
 
     def _place(self, w, delta):
         # post-projection on the stored difference: (w + delta) - w picks
-        # up cancellation noise, so iterate until the invariant is exact
+        # up cancellation noise, so shrink until the invariant is exact
+        placed = w + delta
         for _ in range(8):
-            stored = (w + delta) - w
+            stored = placed - w
             dn = numkit.frobenius_norm(stored)
             if dn <= self.tau:
-                break
-            delta = stored * (self.tau / dn) * (1.0 - 1e-12)
-        assert numkit.frobenius_norm((w + delta) - w) <= self.tau
-        return w + delta
+                return placed
+            placed = w + stored * (self.tau / dn) * (1.0 - 1e-12)
+        dn = numkit.frobenius_norm(placed - w)
+        if dn <= self.tau:
+            return placed
+        raise RuntimeError(
+            f"PerturbationBall: stored difference {dn!r} exceeds tau "
+            f"{self.tau!r} after 8 shrinks")
 
 
 # ---------------------------------------------------------------------------

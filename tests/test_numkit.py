@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,27 +88,6 @@ class TestSums:
         assert numkit.frobenius_norm(x) == pytest.approx(naive, rel=1e-12)
 
 
-class TestMatmul:
-    def test_matvec_matmul_match_triple_loop(self):
-        rng = RngState(11)
-        for rows, inner, cols in ((3, 5, 4), (17, 9, 13), (64, 64, 64)):
-            a = rng.standard_normal((rows, inner))
-            b = rng.standard_normal((inner, cols))
-            x = rng.standard_normal(inner)
-            mv = numkit.matvec(a, x)
-            mm = numkit.matmul(a, b)
-            mv_ref = np.array([sum(a[i, k] * x[k] for k in range(inner))
-                               for i in range(rows)])
-            np.testing.assert_allclose(mv, mv_ref, rtol=1e-12)
-            mm_ref = np.array([[sum(a[i, k] * b[k, j] for k in range(inner))
-                                for j in range(cols)] for i in range(rows)])
-            np.testing.assert_allclose(mm, mm_ref, rtol=1e-12)
-
-    def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(numkit.EmptyShapeError):
-            numkit.matvec(np.ones((2, 3)), np.ones(2))
-
-
 class TestSpectralNorm:
     def test_diagonal(self):
         assert numkit.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-10)
@@ -144,6 +125,29 @@ class TestSpectralNorm:
             a = rng.standard_normal(shape)
             oracle = float(np.linalg.svd(a, compute_uv=False)[0])
             assert numkit.spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
+        # a rank-deficient gradient-shaped product (rank 20 of 50) and a
+        # near-identity 256x256 matrix shaped like an interlayer operator,
+        # each also scaled far up and down: the Gram matrix of the raw
+        # 2^±600 matrix overflows or underflows
+        aa = rng.standard_normal((20, 50))
+        bb = rng.standard_normal((20, 70))
+        near_eye = np.eye(256) + 0.05 * rng.standard_normal((256, 256)) / 16.0
+        for a in (aa.T @ bb, near_eye):
+            oracle = float(np.linalg.svd(a, compute_uv=False)[0])
+            assert numkit.spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
+            for scale in (2.0 ** 600, 2.0 ** -600):
+                assert numkit.spectral_norm(a * scale) == pytest.approx(
+                    oracle * scale, rel=1e-10)
+
+    def test_within_rounding_of_svd_at_lab_shapes(self):
+        # weight differences and interlayer operators (256x256), input-layer
+        # weights (10x256) and their transposes
+        rng = RngState(8)
+        for shape in ((256, 256), (10, 256), (256, 10)):
+            for _ in range(3):
+                a = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+                oracle = float(np.linalg.svd(a, compute_uv=False)[0])
+                assert abs(numkit.spectral_norm(a) - oracle) <= 1e-13 * oracle
 
     def test_spectral_at_most_frobenius(self):
         rng = RngState(4)
@@ -169,10 +173,15 @@ class TestOperatorNorm:
         assert converged
         assert est == pytest.approx(2.0, abs=1e-9)
 
-    def test_factored_matches_dense(self):
+    def test_factored_warns_unless_converged(self):
         rng = RngState(6)
         A = rng.standard_normal((20, 50))
         B = rng.standard_normal((20, 70))
+        with pytest.warns(RuntimeWarning, match=r"A \(20, 50\), B \(20, 70\)"):
+            capped = numkit.factored_spectral_norm(A, B, iters=2)
         dense = float(np.linalg.svd(A.T @ B, compute_uv=False)[0])
-        est = numkit.factored_spectral_norm(A, B, iters=2000, tol=1e-12)
+        assert capped <= dense * (1 + 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = numkit.factored_spectral_norm(A, B, iters=2000, tol=1e-12)
         assert est == pytest.approx(dense, rel=1e-7)

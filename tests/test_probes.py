@@ -53,6 +53,18 @@ class TestPerturbationBall:
                 at_boundary += 1
         assert at_boundary >= 25  # nominal 80 percent of draws
 
+    def test_place_raises_when_rounding_keeps_the_difference_outside(self, toy):
+        # around a center of ones a per-entry step above half an ulp of 1.0
+        # is stored as a whole ulp, so no shrink brings the stored difference
+        # within this tau; the check must raise, also under python -O
+        rng, _, _, params = toy
+        ones = params.with_weights([np.ones_like(w) for w in params.weights])
+        w1 = ones.weights[0]
+        tau = 1.5e-16 * np.sqrt(w1.size)
+        ball = PerturbationBall(ones, tau, rng.substream("b3"))
+        with pytest.raises(RuntimeError, match="exceeds tau"):
+            ball.shifted([np.full(w1.shape, 1.5e-16)] + [None] * params.depth)
+
 
 class TestReportPlumbing:
     def test_write_and_reload(self, toy, tmp_path):
