@@ -6,7 +6,9 @@ The gradient of the network output with respect to layer l is rank one,
     g_l = vᵀ H_{l+1}^{L+1},   s_l = theta on layers 2..L, 1 at the ends,
 
 so batch gradients are sums of rank-one terms, accumulated here by a single
-matmul per layer in fixed sample order.  A central finite-difference oracle
+matmul per layer in fixed sample order.  Only the dense layer gradients
+are kept, not their factors; the spectral norms behind ``h_k`` are taken
+on them by ``numkit.power_spectral_norm``.  A central finite-difference oracle
 (with a pattern-flip detector, since the output is only piecewise linear in
 each weight) provides the independent check.
 """
@@ -57,23 +59,15 @@ class SurrogateValue:
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-layer gradient matrices matching the weight shapes.
-
-    ``factors`` optionally memoizes (A_l, B_l) with A_lᵀ B_l equal to the
-    dense layer gradient, which makes spectral norms cheap when the batch is
-    much smaller than the width.
-    """
+    """Per-layer gradient matrices matching the weight shapes."""
     layers: tuple
-    factors: tuple = None
 
     def frobenius_norms(self) -> tuple:
         return tuple(numkit.frobenius_norm(g) for g in self.layers)
 
-    def spectral_norms(self, iters: int = 200, tol: float = 1e-8) -> tuple:
-        if self.factors is not None:
-            return tuple(numkit.factored_spectral_norm(a, b, iters, tol)
-                         for a, b in self.factors)
-        return tuple(numkit.spectral_norm(g) for g in self.layers)
+    def spectral_norms(self) -> tuple:
+        """Per-layer spectral norms by power iteration (the ``h_k`` terms)."""
+        return tuple(numkit.power_spectral_norm(g) for g in self.layers)
 
 
 def _backward_rows(params: NetworkParams, bt: BatchTrace) -> list:
@@ -110,14 +104,12 @@ def batch_output_grad(params: NetworkParams, bt: BatchTrace,
     """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i)."""
     rows = _backward_rows(params, bt)
     layers = []
-    factors = []
     w = np.asarray(weights, dtype=np.float64)
     for l in range(1, params.depth + 2):
         a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
         b = rows[l] * bt.pattern(l)
         layers.append(a.T @ b)
-        factors.append((a, b))
-    return GradientSet(tuple(layers), tuple(factors))
+    return GradientSet(tuple(layers))
 
 
 def _as_xy(dataset):

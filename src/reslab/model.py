@@ -210,7 +210,8 @@ def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
     for l in range(1, L + 2):
         pre = h @ params.weights[l - 1]
         pat = pre > 0.0  # strict: ties at exactly zero count as inactive
-        inc = np.where(pat, pre, 0.0)
+        inc = np.maximum(pre, 0.0)
+        inc += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
         if params.arch == ARCH_RESIDUAL and 2 <= l <= L:
             h = h + params.theta * inc
         else:

@@ -4,9 +4,10 @@ Everything is float64.  Explicit sums that feed reported numbers go through
 a fixed pairwise tree (``pairwise_sum``) so the result is a function of the
 input order only, never of thread count or chunking.  Spectral norms of
 dense matrices are the square root of the top eigenvalue of the smaller
-Gram matrix and are exact to rounding; power iteration (``operator_norm``)
-remains only for the factored gradient norms AᵀB (``h_k``), where it is
-cheaper than any exact method at the lab's shapes.  All sampling flows
+Gram matrix and are exact to rounding (``spectral_norm``); the layer
+gradient norms behind ``h_k``, taken on every training step, use a blocked
+power iteration instead (``power_spectral_norm``), which is cheaper than
+any exact method measured at the lab's shapes.  All sampling flows
 through :class:`RngState`, which wraps a counter-based generator keyed by
 ``(seed, stream)`` so identical keys replay identical draws on any platform.
 """
@@ -88,6 +89,17 @@ def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> Mat
     return rng.standard_normal((rows, cols)) * np.sqrt(float(variance))
 
 
+def _pairwise_tree(a: np.ndarray) -> np.ndarray:
+    """Adjacent-pair binary tree down axis 0 of a nonempty array."""
+    while a.shape[0] > 1:
+        half = a.shape[0] // 2
+        tail = a[2 * half:]  # odd leftover joins the next level unchanged
+        a = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        if tail.shape[0]:
+            a = np.concatenate([a, tail])
+    return a[0]
+
+
 def pairwise_sum(values) -> float:
     """Sum via a fixed adjacent-pair binary tree.
 
@@ -98,13 +110,7 @@ def pairwise_sum(values) -> float:
     a = np.asarray(values, dtype=np.float64).ravel()
     if a.size == 0:
         return 0.0
-    while a.size > 1:
-        half = a.size // 2
-        tail = a[2 * half:]  # odd leftover joins the next level unchanged
-        a = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
-        if tail.size:
-            a = np.concatenate([a, tail])
-    return float(a[0])
+    return float(_pairwise_tree(a))
 
 
 def frobenius_norm(a) -> float:
@@ -112,64 +118,9 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(pairwise_sum(a * a)))
 
 
-def _l2(x: np.ndarray) -> float:
-    return float(np.sqrt(pairwise_sum(x * x)))
-
-
-# Fixed entropy for power-iteration restarts; a constant keeps operator_norm
-# a pure function of its arguments.
+# Fixed entropy for the power-iteration restarts; a constant keeps
+# power_spectral_norm a pure function of its arguments.
 _RESTART_ENTROPY = 0x5EEDF00D
-
-
-def operator_norm(apply, apply_t, dim_in: int, iters: int = 500,
-                  tol: float = 1e-10, restarts: int = 2):
-    """Largest singular value of a linear operator, matrix-free.
-
-    Power iteration on AᵀA with a deterministic all-ones start plus
-    ``restarts`` seeded random restarts (guards against a start vector
-    orthogonal to the top singular space).  Returns ``(estimate, converged)``;
-    the estimate is always a lower bound on the true value.
-    """
-    if dim_in <= 0:
-        raise EmptyShapeError("operator with empty input dimension")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    starts = [np.ones(dim_in) / np.sqrt(dim_in)]
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=_RESTART_ENTROPY, spawn_key=(dim_in,))))
-    for _ in range(restarts):
-        g = rng.standard_normal(dim_in)
-        starts.append(g / np.linalg.norm(g))
-
-    best = 0.0
-    best_converged = False
-    for v in starts:
-        sigma_prev = -1.0
-        converged = False
-        for _ in range(iters):
-            u = apply(v)
-            sigma = _l2(u)
-            if sigma == 0.0:  # v in the null space; this start is done
-                converged = True
-                break
-            w = apply_t(u / sigma)
-            wn = _l2(w)
-            if wn == 0.0:
-                converged = True
-                break
-            v = w / wn
-            if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-                converged = True
-                break
-            sigma_prev = sigma
-        else:
-            sigma = sigma_prev if sigma_prev > sigma else sigma
-        if sigma > best:
-            best = sigma
-            best_converged = converged
-        elif sigma == best:
-            best_converged = best_converged or converged
-    return best, best_converged
 
 
 def spectral_norm(a: Matrix) -> float:
@@ -198,25 +149,64 @@ def spectral_norm(a: Matrix) -> float:
     return math.sqrt(max(top, 0.0)) * scale
 
 
-def factored_spectral_norm(a: Matrix, b: Matrix, iters: int = 200,
-                           tol: float = 1e-8) -> float:
-    """Spectral norm of AᵀB without materializing the product.
+def _column_l2(x: Matrix) -> np.ndarray:
+    """Per-column l2 norms; each column's sum of squares is bit for bit
+    its ``pairwise_sum``, since the same tree runs down the columns."""
+    return np.sqrt(_pairwise_tree(x * x))
 
-    A is (n, p) and B is (n, q); useful when the product is a sum of n
-    rank-one terms with n much smaller than p, q.  Power iteration that
-    stops at ``iters`` without meeting ``tol`` raises a RuntimeWarning; its
-    estimate is then a lower bound.
+
+def power_spectral_norm(g: Matrix, iters: int = 200, tol: float = 1e-8) -> float:
+    """Largest singular value of ``g`` by power iteration on gᵀg.
+
+    Three starts run side by side as the columns of one block: the
+    normalized all-ones vector plus two seeded Gaussian restarts (a guard against a start orthogonal to the top singular space).  Each
+    column stops on its own, when σ changes by at most ``tol`` relative to
+    itself or when its iterate vanishes, and is then frozen; the largest
+    column σ is returned.  When that column stopped at ``iters`` without
+    meeting ``tol`` a RuntimeWarning is raised, and the estimate is a lower
+    bound.  The estimate never exceeds the true value beyond rounding.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise EmptyShapeError(f"factored_spectral_norm: {a.shape} vs {b.shape}")
-    est, converged = operator_norm(
-        lambda v: a.T @ (b @ v), lambda u: b.T @ (a @ u), b.shape[1], iters, tol)
-    if not converged:
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] == 0 or g.shape[1] == 0:
+        raise EmptyShapeError(f"power_spectral_norm needs a nonempty matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NumericDomainError("power_spectral_norm: non-finite entries")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    q = g.shape[1]
+    v = np.empty((q, 3))
+    v[:, 0] = np.ones(q) / np.sqrt(q)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=_RESTART_ENTROPY, spawn_key=(q,))))
+    for j in (1, 2):
+        r = rng.standard_normal(q)
+        v[:, j] = r / np.linalg.norm(r)
+
+    sigma = np.zeros(3)
+    sigma_prev = np.full(3, -1.0)
+    converged = np.zeros(3, dtype=bool)
+    live = np.arange(3)
+    for _ in range(iters):
+        u = g @ v
+        s = _column_l2(u)
+        sigma[live] = s
+        done = s == 0.0  # v in the null space: this start is done
+        w = g.T @ (u / np.where(done, 1.0, s))
+        wn = _column_l2(w)
+        done |= wn == 0.0
+        v = w / np.where(done, 1.0, wn)
+        done |= np.abs(s - sigma_prev[live]) <= tol * np.maximum(s, 1e-300)
+        sigma_prev[live] = s
+        converged[live[done]] = True
+        live, v = live[~done], v[:, ~done]
+        if live.size == 0:
+            break
+
+    best = float(sigma.max())
+    if not converged[sigma == best].any():  # no start reaching it converged
         warnings.warn(
-            f"factored_spectral_norm: power iteration on AᵀB with A {a.shape}, "
-            f"B {b.shape} stopped at {iters} iterations without reaching "
-            f"tol {tol:g}; the estimate {est!r} is a lower bound",
+            f"power_spectral_norm: power iteration on a {g.shape} matrix "
+            f"stopped at {iters} iterations without reaching tol {tol:g}; "
+            f"the estimate {best!r} is a lower bound",
             RuntimeWarning, stacklevel=2)
-    return est
+    return best

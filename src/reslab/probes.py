@@ -76,6 +76,9 @@ def _verdict(ok: bool) -> str:
 
 
 BOUNDARY_FRACTION = 0.8  # fraction of ball draws placed on the boundary
+# Largest relative shrink _place applies.  A stored difference still outside
+# tau after it is quantized to the weights' ulps, not just noisy.
+_MAX_SHRINK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,14 +120,20 @@ class PerturbationBall:
 
     def _place(self, w, delta):
         # post-projection on the stored difference: (w + delta) - w picks
-        # up cancellation noise, so shrink until the invariant is exact
+        # up cancellation noise, so shrink until the invariant is exact.
+        # The first shrink, 1e-12, suffices at the lab's radii; the noise
+        # grows relative to tau as tau falls, so later shrinks grow from
+        # the excess they measure
         placed = w + delta
-        for _ in range(8):
+        margin = 1e-12
+        for k in range(8):
             stored = placed - w
             dn = numkit.frobenius_norm(stored)
             if dn <= self.tau:
                 return placed
-            placed = w + stored * (self.tau / dn) * (1.0 - 1e-12)
+            if k > 0:
+                margin = min(_MAX_SHRINK, 2.0 * (margin + (dn - self.tau) / self.tau))
+            placed = w + stored * (self.tau / dn) * (1.0 - margin)
         dn = numkit.frobenius_norm(placed - w)
         if dn <= self.tau:
             return placed
@@ -821,8 +830,9 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
                 break
             best = max(best, obj)
             grads = lossgrad.batch_output_grad(current, bt, xi / n)
+            steps = [g * step_size for g in grads.layers]  # fresh buffers
             stepped = current.with_weights(
-                w + step_size * g for w, g in zip(current.weights, grads.layers))
+                np.add(w, s, out=s) for w, s in zip(current.weights, steps))
             current = _project_to_ball(stepped, params, tau)
         if diverged:
             dropped += 1

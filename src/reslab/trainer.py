@@ -152,8 +152,11 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns, eta,
 
 def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
                   eta: float) -> NetworkParams:
+    # each fresh step buffer becomes the new weight; the old weights are
+    # never written, since the first iterate's are the initialization
+    steps = [g * eta for g in grads.layers]
     return params.with_weights(
-        w - eta * g for w, g in zip(params.weights, grads.layers))
+        np.subtract(w, s, out=s) for w, s in zip(params.weights, steps))
 
 
 def gd_step(params: NetworkParams, dataset, eta: float,

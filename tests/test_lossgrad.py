@@ -240,15 +240,6 @@ class TestBatchLossGrad:
         loss, _, _ = batch_loss_grad(p, (xs, ys))
         assert loss.total == pytest.approx(float(np.mean(loss.per_sample)), rel=1e-12)
 
-    def test_weighted_output_grad_factors_match_dense(self):
-        p = net(13)
-        xs, ys = self.make_data(p, 6, seed=90)
-        bt = forward_batch(p, xs)
-        w = RngState(91).standard_normal(6)
-        grads = batch_output_grad(p, bt, w)
-        for (a, b), dense in zip(grads.factors, grads.layers):
-            np.testing.assert_allclose(a.T @ b, dense, atol=1e-13)
-
     def test_finite_diff_oracle_zero_net(self):
         p = net(14)
         p = p.with_weights(np.zeros_like(w) for w in p.weights)

@@ -154,6 +154,30 @@ class TestForward:
         assert t.output == pytest.approx(float(out), abs=1e-12)
 
 
+    def test_relu_matches_where_formula_bit_for_bit(self):
+        # zero weight columns (+0.0 and -0.0) give zero pre-activations,
+        # which must come out as +0.0 with a cleared pattern bit
+        for arch in ("residual", "plain"):
+            p = small_net(seed=12, d=5, L=3, m=16, m_last=16, arch=arch)
+            weights = [w.copy() for w in p.weights]
+            for w in weights:
+                w[:, 2] = 0.0
+                w[:, 5] = -0.0
+            p = p.with_weights(weights)
+            xs = np.array([unit(r) for r in RngState(13).standard_normal((9, 5))])
+            bt = forward_batch(p, xs)
+            h = xs
+            for l in range(1, p.depth + 2):
+                pre = h @ p.weights[l - 1]
+                inc = np.where(pre > 0.0, pre, 0.0)
+                h = h + p.theta * inc if arch == "residual" and 2 <= l <= p.depth else inc
+                np.testing.assert_array_equal(bt.activations[l].view(np.uint64),
+                                              h.view(np.uint64))
+                np.testing.assert_array_equal(bt.pattern(l), pre > 0.0)
+            np.testing.assert_array_equal(bt.outputs.view(np.uint64),
+                                          (h @ p.v).view(np.uint64))
+
+
 class TestInterlayer:
     def test_identity_when_range_is_empty(self):
         p = small_net()

@@ -78,6 +78,15 @@ class TestSums:
     def test_empty_sum_is_zero(self):
         assert numkit.pairwise_sum([]) == 0.0
 
+    def test_column_norms_are_the_tree_of_each_column(self):
+        rng = RngState(3)
+        for shape in ((1, 2), (7, 3), (256, 3), (10, 1)):
+            x = rng.standard_normal(shape)
+            norms = numkit._column_l2(x)
+            assert norms.shape == (shape[1],)
+            for j in range(shape[1]):  # bit for bit
+                assert norms[j] == np.sqrt(numkit.pairwise_sum(x[:, j] * x[:, j]))
+
     def test_frobenius_norm_values(self):
         assert numkit.frobenius_norm(np.zeros((3, 4))) == 0.0
         assert numkit.frobenius_norm(np.ones((2, 2))) == pytest.approx(2.0)
@@ -166,22 +175,103 @@ class TestSpectralNorm:
             numkit.spectral_norm(np.zeros((0, 3)))
 
 
-class TestOperatorNorm:
-    def test_reports_convergence(self):
-        a = np.diag([2.0, 0.5])
-        est, converged = numkit.operator_norm(lambda v: a @ v, lambda u: a.T @ u, 2)
-        assert converged
-        assert est == pytest.approx(2.0, abs=1e-9)
+def _per_start_reference(g, iters, tol):
+    """One start at a time: the scalar power iteration that the blocked
+    solver runs column by column."""
+    q = g.shape[1]
+    starts = [np.ones(q) / np.sqrt(q)]
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=numkit._RESTART_ENTROPY, spawn_key=(q,))))
+    for _ in range(2):
+        r = rng.standard_normal(q)
+        starts.append(r / np.linalg.norm(r))
 
-    def test_factored_warns_unless_converged(self):
+    def l2(x):
+        return float(np.sqrt(numkit.pairwise_sum(x * x)))
+
+    best, best_converged = 0.0, False
+    for v in starts:
+        sigma_prev = -1.0
+        converged = False
+        for _ in range(iters):
+            u = g @ v
+            sigma = l2(u)
+            if sigma == 0.0:
+                converged = True
+                break
+            w = g.T @ (u / sigma)
+            wn = l2(w)
+            if wn == 0.0:
+                converged = True
+                break
+            v = w / wn
+            if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+                converged = True
+                break
+            sigma_prev = sigma
+        if sigma > best:
+            best, best_converged = sigma, converged
+        elif sigma == best:
+            best_converged = best_converged or converged
+    return best, best_converged
+
+
+class TestPowerSpectralNorm:
+    def cases(self):
         rng = RngState(6)
         A = rng.standard_normal((20, 50))
         B = rng.standard_normal((20, 70))
-        with pytest.warns(RuntimeWarning, match=r"A \(20, 50\), B \(20, 70\)"):
-            capped = numkit.factored_spectral_norm(A, B, iters=2)
-        dense = float(np.linalg.svd(A.T @ B, compute_uv=False)[0])
+        # integer rows summing to zero, 64 columns: the all-ones start
+        # (entries 1/8) is mapped to an exact zero, so its column stops at
+        # once while the restarts run on
+        dead_start = np.round(3.0 * rng.standard_normal((30, 64)))
+        dead_start[:, -1] -= dead_start.sum(axis=1)
+        return {
+            "rank-deficient AᵀB": A.T @ B,
+            "gaussian 256x256": rng.standard_normal((256, 256)) / 16.0,
+            "input layer 10x256": rng.standard_normal((10, 256)) / 16.0,
+            "rank one": np.outer(rng.standard_normal(30), rng.standard_normal(40)),
+            "ones in the null space": dead_start,
+        }
+
+    def test_matches_lapack_when_converged(self):
+        for name, g in self.cases().items():
+            dense = float(np.linalg.svd(g, compute_uv=False)[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = numkit.power_spectral_norm(g, iters=2000, tol=1e-12)
+            assert est == pytest.approx(dense, rel=1e-7), name
+            assert est <= dense * (1 + 1e-12), name
+
+    def test_warns_with_the_shape_unless_converged(self):
+        g = self.cases()["rank-deficient AᵀB"]
+        with pytest.warns(RuntimeWarning, match=r"\(50, 70\) matrix"):
+            capped = numkit.power_spectral_norm(g, iters=2)
+        dense = float(np.linalg.svd(g, compute_uv=False)[0])
         assert capped <= dense * (1 + 1e-12)
+
+    def test_zero_matrix_is_zero_without_any_warning(self):
+        # a dead layer's gradient: no start moves, and nothing divides by 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = numkit.factored_spectral_norm(A, B, iters=2000, tol=1e-12)
-        assert est == pytest.approx(dense, rel=1e-7)
+            assert numkit.power_spectral_norm(np.zeros((256, 256))) == 0.0
+            assert numkit.power_spectral_norm(np.zeros((10, 256)), iters=1) == 0.0
+
+    def test_agrees_with_per_start_reference(self):
+        for name, g in self.cases().items():
+            for iters, tol in ((1, 1e-8), (2, 1e-8), (5, 1e-8), (200, 1e-8),
+                               (2000, 1e-12)):
+                ref, ref_converged = _per_start_reference(g, iters, tol)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    est = numkit.power_spectral_norm(g, iters, tol)
+                assert abs(est - ref) <= 1e-12 * ref, (name, iters)
+                assert (len(caught) == 0) == ref_converged, (name, iters)
+
+    def test_rejects_bad_operands(self):
+        with pytest.raises(numkit.EmptyShapeError):
+            numkit.power_spectral_norm(np.zeros((0, 3)))
+        g = np.ones((3, 3))
+        g[1, 1] = np.inf
+        with pytest.raises(numkit.NumericDomainError):
+            numkit.power_spectral_norm(g)

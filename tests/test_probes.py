@@ -53,6 +53,17 @@ class TestPerturbationBall:
                 at_boundary += 1
         assert at_boundary >= 25  # nominal 80 percent of draws
 
+    def test_small_radii_draws_stay_within_tau(self):
+        # at the golden shape the rounding noise of (w + delta) - w is far
+        # above a 1e-12 shrink of tau once tau is this small
+        params = init_gaussian(RngState(5), 10, 16, 256, 256, 0.1 / 16)
+        for tau in (1e-6, 1e-9):
+            ball = PerturbationBall(params, tau, RngState(5).substream("ball"))
+            for _ in range(3):
+                drawn = ball.draw()
+                for a, b in zip(drawn.weights, params.weights):
+                    assert numkit.frobenius_norm(a - b) <= tau
+
     def test_place_raises_when_rounding_keeps_the_difference_outside(self, toy):
         # around a center of ones a per-entry step above half an ulp of 1.0
         # is stored as a whole ulp, so no shrink brings the stored difference
