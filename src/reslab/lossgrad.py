@@ -6,9 +6,11 @@ The gradient of the network output with respect to layer l is rank one,
     g_l = vᵀ H_{l+1}^{L+1},   s_l = theta on layers 2..L, 1 at the ends,
 
 so batch gradients are sums of rank-one terms, accumulated here by a single
-matmul per layer in fixed sample order.  Only the dense layer gradients
-are kept, not their factors; the spectral norms behind ``h_k`` are taken
-on them by ``numkit.power_spectral_norm``.  A central finite-difference oracle
+matmul per layer in fixed sample order.  Each masked backward row block
+g_l ⊙ sigma_l is formed once and serves both the backward recursion and
+the layer gradient.  Only the dense layer gradients are kept, not their
+factors; the spectral norms behind ``h_k`` are taken on them, exactly, by
+``numkit.lanczos_spectral_norm``.  A central finite-difference oracle
 (with a pattern-flip detector, since the output is only piecewise linear in
 each weight) provides the independent check.
 """
@@ -66,25 +68,27 @@ class GradientSet:
         return tuple(numkit.frobenius_norm(g) for g in self.layers)
 
     def spectral_norms(self) -> tuple:
-        """Per-layer spectral norms by power iteration (the ``h_k`` terms)."""
-        return tuple(numkit.power_spectral_norm(g) for g in self.layers)
+        """Per-layer spectral norms, exact to rounding (the ``h_k`` terms).
+
+        The only place ``h_k``'s norms are taken, so that timing this
+        method accounts for all of their cost.
+        """
+        return tuple(numkit.lanczos_spectral_norm(g) for g in self.layers)
 
 
-def _backward_rows(params: NetworkParams, bt: BatchTrace) -> list:
-    """rows[l] = per-sample vᵀ H_{l+1}^{L+1}, for l = 1..L+1 (rows[0] unused)."""
+def _backward_rows(params: NetworkParams, bt: BatchTrace) -> tuple:
+    """Per-sample backward rows g_l = vᵀ H_{l+1}^{L+1}, masked by the
+    activation patterns: masked[l] = g_l ⊙ sigma_l for l = 1..L+1
+    (masked[0] unused), and the unmasked g_1."""
     L = params.depth
-    n = bt.n
-    rows = [None] * (L + 2)
-    g = np.broadcast_to(params.v, (n, params.m_last))
-    rows[L + 1] = g
+    masked = [None] * (L + 2)
+    g = np.broadcast_to(params.v, (bt.n, params.m_last))
     for l in range(L + 1, 1, -1):
-        masked = (g * bt.pattern(l)) @ params.weights[l - 1].T
-        if params.arch == "residual" and 2 <= l <= L:
-            g = g + params.theta * masked
-        else:
-            g = masked
-        rows[l - 1] = g
-    return rows
+        masked[l] = g * bt.pattern(l)
+        back = masked[l] @ params.weights[l - 1].T
+        g = g + params.theta * back if params.arch == "residual" and l <= L else back
+    masked[1] = g * bt.pattern(1)
+    return masked, g
 
 
 def output_gradient(params: NetworkParams, trace, l: int) -> np.ndarray:
@@ -93,8 +97,7 @@ def output_gradient(params: NetworkParams, trace, l: int) -> np.ndarray:
     if not 1 <= l <= L + 1:
         raise IndexError(f"layer {l} out of range 1..{L + 1}")
     bt = forward_batch(params, trace.x[None, :])
-    rows = _backward_rows(params, bt)
-    b = (rows[l] * bt.pattern(l))[0]
+    b = _backward_rows(params, bt)[0][l][0]
     a = bt.activations[l - 1][0]
     return params.layer_scale(l) * np.outer(a, b)
 
@@ -102,13 +105,12 @@ def output_gradient(params: NetworkParams, trace, l: int) -> np.ndarray:
 def batch_output_grad(params: NetworkParams, bt: BatchTrace,
                       weights: np.ndarray) -> GradientSet:
     """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i)."""
-    rows = _backward_rows(params, bt)
+    masked = _backward_rows(params, bt)[0]
     layers = []
     w = np.asarray(weights, dtype=np.float64)
     for l in range(1, params.depth + 2):
         a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
-        b = rows[l] * bt.pattern(l)
-        layers.append(a.T @ b)
+        layers.append(a.T @ masked[l])
     return GradientSet(tuple(layers))
 
 

@@ -3,13 +3,14 @@
 Everything is float64.  Explicit sums that feed reported numbers go through
 a fixed pairwise tree (``pairwise_sum``) so the result is a function of the
 input order only, never of thread count or chunking.  Spectral norms of
-dense matrices are the square root of the top eigenvalue of the smaller
-Gram matrix and are exact to rounding (``spectral_norm``); the layer
-gradient norms behind ``h_k``, taken on every training step, use a blocked
-power iteration instead (``power_spectral_norm``), which is cheaper than
-any exact method measured at the lab's shapes.  All sampling flows
-through :class:`RngState`, which wraps a counter-based generator keyed by
-``(seed, stream)`` so identical keys replay identical draws on any platform.
+dense matrices are exact to rounding.  ``spectral_norm`` takes the square
+root of the top eigenvalue of the smaller Gram matrix.  The layer gradient
+norms behind ``h_k``, taken on every training step, come from
+Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
+(``lanczos_spectral_norm``), which needs only a few matrix-vector
+products per norm.  All sampling flows through :class:`RngState`, which
+wraps a counter-based generator keyed by ``(seed, stream)`` so identical
+keys replay identical draws on any platform.
 """
 
 from __future__ import annotations
@@ -89,17 +90,6 @@ def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> Mat
     return rng.standard_normal((rows, cols)) * np.sqrt(float(variance))
 
 
-def _pairwise_tree(a: np.ndarray) -> np.ndarray:
-    """Adjacent-pair binary tree down axis 0 of a nonempty array."""
-    while a.shape[0] > 1:
-        half = a.shape[0] // 2
-        tail = a[2 * half:]  # odd leftover joins the next level unchanged
-        a = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
-        if tail.shape[0]:
-            a = np.concatenate([a, tail])
-    return a[0]
-
-
 def pairwise_sum(values) -> float:
     """Sum via a fixed adjacent-pair binary tree.
 
@@ -110,7 +100,13 @@ def pairwise_sum(values) -> float:
     a = np.asarray(values, dtype=np.float64).ravel()
     if a.size == 0:
         return 0.0
-    return float(_pairwise_tree(a))
+    while a.size > 1:
+        half = a.size // 2
+        tail = a[2 * half:]  # odd leftover joins the next level unchanged
+        a = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        if tail.size:
+            a = np.concatenate([a, tail])
+    return float(a[0])
 
 
 def frobenius_norm(a) -> float:
@@ -118,9 +114,15 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(pairwise_sum(a * a)))
 
 
-# Fixed entropy for the power-iteration restarts; a constant keeps
-# power_spectral_norm a pure function of its arguments.
+# Fixed entropy for the Lanczos restarts; a constant keeps
+# lanczos_spectral_norm a pure function of its arguments.
 _RESTART_ENTROPY = 0x5EEDF00D
+# The Lanczos solver stops once its Ritz value moves by at most this much,
+# relative to itself, in one step.  When the Ritz values close in by a
+# factor r per step, the error left is about r / (1 - r) times the last
+# move, so below it for r < 1/2: a dense Gaussian 256x256 matrix (r near
+# 0.4) kept 1.4e-13 after a stop at 1e-12, and 1.1e-14 after one at 1e-13.
+_RITZ_TOL = 1e-13
 
 
 def spectral_norm(a: Matrix) -> float:
@@ -149,64 +151,106 @@ def spectral_norm(a: Matrix) -> float:
     return math.sqrt(max(top, 0.0)) * scale
 
 
-def _column_l2(x: Matrix) -> np.ndarray:
-    """Per-column l2 norms; each column's sum of squares is bit for bit
-    its ``pairwise_sum``, since the same tree runs down the columns."""
-    return np.sqrt(_pairwise_tree(x * x))
+def _orthogonalize(x: Vector, basis: Matrix) -> Vector:
+    """``x`` minus its projection on the orthonormal rows of ``basis``,
+    removed twice (classical Gram-Schmidt, twice is enough)."""
+    if basis.shape[0]:
+        for _ in range(2):
+            x = x - (basis @ x) @ basis
+    return x
 
 
-def power_spectral_norm(g: Matrix, iters: int = 200, tol: float = 1e-8) -> float:
-    """Largest singular value of ``g`` by power iteration on gᵀg.
+def _norm(x: Vector) -> float:
+    return math.sqrt(float(x @ x))
 
-    Three starts run side by side as the columns of one block: the
-    normalized all-ones vector plus two seeded Gaussian restarts (a guard against a start orthogonal to the top singular space).  Each
-    column stops on its own, when σ changes by at most ``tol`` relative to
-    itself or when its iterate vanishes, and is then frozen; the largest
-    column σ is returned.  When that column stopped at ``iters`` without
-    meeting ``tol`` a RuntimeWarning is raised, and the estimate is a lower
-    bound.  The estimate never exceeds the true value beyond rounding.
+
+def lanczos_spectral_norm(g: Matrix, max_steps: int | None = None) -> float:
+    """Largest singular value of ``g`` (p x q) by Golub-Kahan-Lanczos
+    bidiagonalization with full reorthogonalization.
+
+    From the normalized all-ones start v_1, step j sets u_j = g v_j and
+    v_{j+1} = gᵀu_j, each orthogonalized against every stored u (or v) and
+    normalized by its length α_j (or β_j).  Then U_jᵀ g V_{j+1} is the
+    j x (j+1) upper bidiagonal matrix with the α on its diagonal and the β
+    above it, and its top singular value (the Ritz value) rises towards
+    ‖g‖₂ without exceeding it beyond rounding.  The solver stops when one
+    step moves the Ritz value by at most ``_RITZ_TOL`` relative, or after
+    min(p, q) steps, where U or V spans its whole space and the value is
+    exact.
+
+    A zero α or β (breakdown) means the block built so far spans an
+    invariant subspace, whose top singular value is then exact.  The
+    solver restarts from a seeded Gaussian vector orthogonalized against
+    every stored v, and returns the largest value over the blocks.  If
+    ``max_steps`` steps (counted over all blocks) run out before the stop
+    rule is met, a RuntimeWarning naming the shape is raised and the value
+    is a lower bound.  A zero matrix gives 0.0.  Entries are rescaled by a
+    power of two, which is exact, when they are so large or small that the
+    squared lengths could overflow or underflow.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] == 0 or g.shape[1] == 0:
-        raise EmptyShapeError(f"power_spectral_norm needs a nonempty matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NumericDomainError("power_spectral_norm: non-finite entries")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    q = g.shape[1]
-    v = np.empty((q, 3))
-    v[:, 0] = np.ones(q) / np.sqrt(q)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=_RESTART_ENTROPY, spawn_key=(q,))))
-    for j in (1, 2):
-        r = rng.standard_normal(q)
-        v[:, j] = r / np.linalg.norm(r)
+        raise EmptyShapeError(f"lanczos_spectral_norm needs a nonempty matrix, got shape {g.shape}")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    peak = float(np.max(np.abs(g)))
+    if not math.isfinite(peak):
+        raise NumericDomainError("lanczos_spectral_norm: non-finite entries")
+    if peak == 0.0:
+        return 0.0
+    if not 2.0 ** -256 <= peak <= 2.0 ** 256:
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+        return lanczos_spectral_norm(g / scale, max_steps) * scale
 
-    sigma = np.zeros(3)
-    sigma_prev = np.full(3, -1.0)
-    converged = np.zeros(3, dtype=bool)
-    live = np.arange(3)
-    for _ in range(iters):
-        u = g @ v
-        s = _column_l2(u)
-        sigma[live] = s
-        done = s == 0.0  # v in the null space: this start is done
-        w = g.T @ (u / np.where(done, 1.0, s))
-        wn = _column_l2(w)
-        done |= wn == 0.0
-        v = w / np.where(done, 1.0, wn)
-        done |= np.abs(s - sigma_prev[live]) <= tol * np.maximum(s, 1e-300)
-        sigma_prev[live] = s
-        converged[live[done]] = True
-        live, v = live[~done], v[:, ~done]
-        if live.size == 0:
-            break
-
-    best = float(sigma.max())
-    if not converged[sigma == best].any():  # no start reaching it converged
-        warnings.warn(
-            f"power_spectral_norm: power iteration on a {g.shape} matrix "
-            f"stopped at {iters} iterations without reaching tol {tol:g}; "
-            f"the estimate {best!r} is a lower bound",
-            RuntimeWarning, stacklevel=2)
-    return best
+    p, q = g.shape
+    exact_at = min(p, q)
+    cap = exact_at if max_steps is None else min(max_steps, exact_at)
+    us = np.empty((exact_at, p))  # the stored u and v, one per row
+    vs = np.empty((q, q))
+    ku = kv = 0
+    best = 0.0
+    v = np.full(q, 1.0 / math.sqrt(q))
+    rng = None
+    while True:  # one pass per block
+        vs[kv] = v
+        kv += 1
+        bidiag = np.empty((exact_at - ku, exact_at - ku + 1))  # rows zeroed as used
+        j = 0
+        sigma = 0.0
+        while True:
+            u = _orthogonalize(g @ v, us[:ku])
+            alpha = _norm(u)
+            if alpha == 0.0:
+                break
+            us[ku] = u = u / alpha
+            ku += 1
+            bidiag[j] = 0.0
+            bidiag[j, j] = alpha
+            beta = 0.0
+            if kv < q:  # otherwise V spans R^q and gᵀu lies in it
+                w = _orthogonalize(g.T @ u, vs[:kv])
+                beta = bidiag[j, j + 1] = _norm(w)
+            j += 1
+            prev = sigma
+            sigma = float(np.linalg.svd(bidiag[:j, :j + 1], compute_uv=False)[0])
+            if abs(sigma - prev) <= _RITZ_TOL * sigma or ku == exact_at:
+                return max(best, sigma)
+            if ku == cap:
+                warnings.warn(
+                    f"lanczos_spectral_norm: {cap} Lanczos steps on a {g.shape} "
+                    f"matrix ran out before the Ritz value settled to "
+                    f"{_RITZ_TOL:g}; the estimate {max(best, sigma)!r} is a "
+                    f"lower bound", RuntimeWarning, stacklevel=2)
+                return max(best, sigma)
+            if beta == 0.0:
+                break
+            vs[kv] = v = w / beta
+            kv += 1
+        best = max(best, sigma)
+        if kv == q:  # V spans R^q: every block is exact
+            return best
+        if rng is None:
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=_RESTART_ENTROPY, spawn_key=(q,))))
+        v = _orthogonalize(rng.standard_normal(q), vs[:kv])
+        v = v / _norm(v)

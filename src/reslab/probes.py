@@ -337,12 +337,11 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
 
 def _linearization_terms(ref: NetworkParams, bt, deltas) -> np.ndarray:
     """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized."""
-    rows = lossgrad._backward_rows(ref, bt)
+    masked = lossgrad._backward_rows(ref, bt)[0]
     total = np.zeros(bt.n)
     for l in range(1, ref.depth + 2):
-        b = rows[l] * bt.pattern(l)
         a = bt.activations[l - 1]
-        total += ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * b, axis=1)
+        total += ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * masked[l], axis=1)
     return total
 
 

@@ -153,11 +153,11 @@ class TestOutputGradient:
         x = unit(RngState(10).standard_normal(4))
         t = forward(p, x)
         bt = forward_batch(p, x[None, :])
-        rows = lossgrad._backward_rows(p, bt)
+        masked = lossgrad._backward_rows(p, bt)[0]
         for l in range(1, p.depth + 2):
             g = output_gradient(p, t, l)
             a = t.activation(l - 1)
-            b = (rows[l] * bt.pattern(l))[0] * p.layer_scale(l)
+            b = masked[l][0] * p.layer_scale(l)
             assert np.linalg.norm(g) == pytest.approx(
                 np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
 
@@ -239,6 +239,34 @@ class TestBatchLossGrad:
         xs, ys = self.make_data(p, 7, seed=80)
         loss, _, _ = batch_loss_grad(p, (xs, ys))
         assert loss.total == pytest.approx(float(np.mean(loss.per_sample)), rel=1e-12)
+
+    def test_output_grad_bits_match_unshared_formula(self):
+        # each masked block rows[l] * sigma_l is formed once and shared by
+        # the backward recursion and the gradient; the result must be bit
+        # for bit the formula that forms it twice
+        def unshared(p, bt, w):
+            L = p.depth
+            rows = [None] * (L + 2)
+            g = np.broadcast_to(p.v, (bt.n, p.m_last))
+            rows[L + 1] = g
+            for l in range(L + 1, 1, -1):
+                back = (g * bt.pattern(l)) @ p.weights[l - 1].T
+                g = g + p.theta * back if p.arch == "residual" and 2 <= l <= L else back
+                rows[l - 1] = g
+            return [(p.layer_scale(l) * (w[:, None] * bt.activations[l - 1])).T
+                    @ (rows[l] * bt.pattern(l)) for l in range(1, L + 2)]
+
+        for arch in ("residual", "plain"):
+            p = net(16, L=5, m=32, m_last=24, arch=arch)
+            xs, _ = self.make_data(p, 40, seed=90)
+            bt = forward_batch(p, xs)
+            w = RngState(91).standard_normal(40)
+            got = batch_output_grad(p, bt, w).layers
+            want = unshared(p, bt, w)
+            assert len(got) == len(want) == p.depth + 1
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_finite_diff_oracle_zero_net(self):
         p = net(14)
