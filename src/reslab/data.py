@@ -178,6 +178,11 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
 DATASET_KIND = "reslab-margin-dataset"
 
 
+def _sample_dtype(d: int) -> np.dtype:
+    """One packed sample record: x_i as d little-endian float64, then the label byte."""
+    return np.dtype([("x", "<f8", (d,)), ("y", "i1")])
+
+
 def save_dataset(ds: MarginDataset, path) -> None:
     header = {
         "kind": DATASET_KIND,
@@ -194,10 +199,10 @@ def save_dataset(ds: MarginDataset, path) -> None:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(np.ascontiguousarray(ds.teacher.directions, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(ds.teacher.coeffs, dtype="<f8").tobytes())
-        labels = ds.ys.astype(np.int8)
-        for i in range(ds.n):
-            fh.write(np.ascontiguousarray(ds.xs[i], dtype="<f8").tobytes())
-            fh.write(labels[i].tobytes())
+        samples = np.empty(ds.n, dtype=_sample_dtype(ds.d))
+        samples["x"] = ds.xs
+        samples["y"] = ds.ys
+        fh.write(samples.tobytes())
 
 
 def _read_exact(fh, count: int, what: str, offset: int):
@@ -231,13 +236,17 @@ def load_dataset(path) -> MarginDataset:
         buf = _read_exact(fh, M * 8, "teacher coefficients", offset)
         coeffs = np.frombuffer(buf, dtype="<f8").copy()
         offset += len(buf)
-        xs = np.empty((n, d))
-        ys = np.empty(n)
-        for i in range(n):
-            buf = _read_exact(fh, d * 8 + 1, f"sample {i}", offset)
-            xs[i] = np.frombuffer(buf[: d * 8], dtype="<f8")
-            ys[i] = float(np.frombuffer(buf[d * 8 :], dtype=np.int8)[0])
-            offset += len(buf)
+        record = _sample_dtype(d)
+        buf = fh.read(n * record.itemsize)
+        if len(buf) != n * record.itemsize:
+            i, got = divmod(len(buf), record.itemsize)
+            raise DataFormatError(f"truncated sample {i} at byte "
+                                  f"{offset + i * record.itemsize}: wanted "
+                                  f"{record.itemsize} bytes, got {got}")
+        samples = np.frombuffer(buf, dtype=record)
+        xs = np.ascontiguousarray(samples["x"], dtype=np.float64)
+        ys = samples["y"].astype(np.float64)
+        offset += len(buf)
         if fh.read(1):
             raise DataFormatError(f"{path}: trailing bytes after byte {offset}")
 

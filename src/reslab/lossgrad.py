@@ -121,17 +121,32 @@ def _as_xy(dataset):
     return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
 
 
-def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
-    """Loss, surrogate, and loss gradient reusing an existing forward trace."""
+def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> LossValue:
+    """Empirical cross-entropy loss of an existing forward trace.
+
+    The one place the loss is computed: ``loss_grad_from_trace`` calls it,
+    and callers that need only the loss call it alone, with no backward
+    pass.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.shape != (bt.n,):
         raise DataError(f"labels have shape {ys.shape}, expected ({bt.n},)")
     if not np.all(np.abs(ys) == 1.0):
         raise DataError("labels must be +1 or -1")
+    per_sample = xent(ys * bt.outputs)
+    return LossValue(numkit.pairwise_sum(per_sample) / bt.n, per_sample)
+
+
+def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
+    """Loss, surrogate, and loss gradient reusing an existing forward trace.
+
+    The loss comes from ``loss_from_trace``; the surrogate and the gradient
+    add the loss derivative and one ``batch_output_grad``.
+    """
+    loss = loss_from_trace(bt, ys)
+    ys = np.asarray(ys, dtype=np.float64)
     z = ys * bt.outputs
-    per_sample = xent(z)
     n = bt.n
-    loss = LossValue(numkit.pairwise_sum(per_sample) / n, per_sample)
     lderiv = xent_deriv(z)
     surrogate = SurrogateValue(-numkit.pairwise_sum(lderiv) / n)
     grads = batch_output_grad(params, bt, lderiv * ys / n)

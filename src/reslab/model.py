@@ -233,6 +233,11 @@ def forward(params: NetworkParams, x: Vector) -> ActivationTrace:
     return ActivationTrace(params, acts, pats, float(bt.outputs[0]))
 
 
+def _check_range(L: int, l: int, lp: int) -> None:
+    if not (1 <= l <= L + 2) or not (0 <= lp <= L + 1):
+        raise ShapeError(f"interlayer range ({l}, {lp}) out of bounds for L={L}")
+
+
 @dataclass(frozen=True)
 class InterlayerOp:
     """Frozen-pattern operator H_l^{l'} taken from a recorded trace.
@@ -249,9 +254,7 @@ class InterlayerOp:
     lp: int
 
     def __post_init__(self):
-        L = self.trace.params.depth
-        if not (1 <= self.l <= L + 2) or not (0 <= self.lp <= L + 1):
-            raise ShapeError(f"interlayer range ({self.l}, {self.lp}) out of bounds for L={L}")
+        _check_range(self.trace.params.depth, self.l, self.lp)
 
     @property
     def params(self) -> NetworkParams:
@@ -281,20 +284,38 @@ def interlayer_apply(op: InterlayerOp, a: Vector) -> Vector:
     return out
 
 
-def interlayer_norm(op: InterlayerOp) -> float:
-    """Spectral norm of H_l^{l'}, exact to rounding.
+def interlayer_norms(trace: ActivationTrace, pairs) -> list:
+    """Spectral norms of H_l^{l'} for each (l, l') in ``pairs``, in order,
+    exact to rounding.
 
-    The operator is formed explicitly, starting from the identity and
-    applying each factor to every column at once, and its top singular value
-    comes from ``numkit.spectral_norm``.  An empty range (l > l') is the
-    identity.
+    Each start layer's operator is formed once, from the identity, applying
+    each factor to every column at once; its top singular value is taken
+    from ``numkit.spectral_norm`` at every requested end on the way, so
+    pairs that share a start layer share their prefix product.  One
+    operator is held at a time.  An empty range (l > l') is the identity.
     """
-    params = op.params
-    h = np.eye(op.in_dim)
-    for r in range(op.l, op.lp + 1):
-        h = _factor_apply(params, op.trace.pattern(r)[:, None],
-                          params.weights[r - 1], r, h)
-    return numkit.spectral_norm(h)
+    params = trace.params
+    ends = {}
+    for i, (l, lp) in enumerate(pairs):
+        _check_range(params.depth, l, lp)
+        ends.setdefault(l, []).append((lp, i))
+    norms = [None] * len(pairs)
+    for l, wanted in ends.items():
+        h = np.eye(params.dim_at(l - 1))
+        r = l  # the next factor to apply
+        for lp, i in sorted(wanted):
+            while r <= lp:
+                h = _factor_apply(params, trace.pattern(r)[:, None],
+                                  params.weights[r - 1], r, h)
+                r += 1
+            norms[i] = numkit.spectral_norm(h)
+    return norms
+
+
+def interlayer_norm(op: InterlayerOp) -> float:
+    """Spectral norm of H_l^{l'}, exact to rounding: ``interlayer_norms``
+    with the one pair (l, l')."""
+    return interlayer_norms(op.trace, [(op.l, op.lp)])[0]
 
 
 def output_via_interlayer(trace: ActivationTrace, l: int) -> float:

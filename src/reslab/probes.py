@@ -25,7 +25,8 @@ import numpy as np
 from . import lossgrad, numkit, trainer
 from .data import MarginDataset, Teacher, sample_dataset
 from .model import (InterlayerOp, NetworkParams, forward, forward_batch,
-                    init_gaussian, interlayer_apply, interlayer_norm)
+                    init_gaussian, interlayer_apply, interlayer_norm,
+                    interlayer_norms)
 from .numkit import RngState
 
 VERDICT_HOLD = "hold"
@@ -157,7 +158,8 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
     """Hidden-layer norm window and interlayer operator norms.
 
     Measures ||x_l|| for every layer over all inputs, and the spectral norm
-    of H_l^{l'} over a fixed set of (l, l') pairs on a few inputs.  Verdict
+    of H_l^{l'} over a fixed set of (l, l') pairs on a few inputs, one
+    ``interlayer_norms`` chain per start layer and input.  Verdict
     holds iff every activation norm lies in [norm_low, norm_high] and every
     middle-range operator (2 <= l <= l' <= L) stays below ``h_limit``
     (default exp(3*theta*L)); operators crossing the first or last layer
@@ -184,9 +186,7 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
     h_all_max = 0.0
     pairs = _default_layer_pairs(L)
     for i in range(min(h_inputs, xs.shape[0])):
-        trace = forward(params, xs[i])
-        for (l, lp) in pairs:
-            hn = interlayer_norm(InterlayerOp(trace, l, lp))
+        for (l, lp), hn in zip(pairs, interlayer_norms(forward(params, xs[i]), pairs)):
             h_all_max = max(h_all_max, hn)
             if 2 <= l and lp <= L:
                 h_mid_max = max(h_mid_max, hn)
@@ -335,9 +335,9 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
 # semismoothness of the output and the empirical loss
 # ---------------------------------------------------------------------------
 
-def _linearization_terms(ref: NetworkParams, bt, deltas) -> np.ndarray:
-    """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized."""
-    masked = lossgrad._backward_rows(ref, bt)[0]
+def _linearization_terms(ref: NetworkParams, bt, masked, deltas) -> np.ndarray:
+    """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized, from
+    ``ref``'s masked backward rows at ``bt`` (``lossgrad._backward_rows``)."""
     total = np.zeros(bt.n)
     for l in range(1, ref.depth + 2):
         a = bt.activations[l - 1]
@@ -406,9 +406,12 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
       below the sup over the ball that the bound covers.
 
     With a dataset, the loss-level residual is additionally fitted against
-    the surrogate-weighted variant with an m h² second term.  Each details
-    row records the pair kind and the layer-1 units flipped at its input.
-    A coincident-pair control asserts R == 0 exactly.
+    the surrogate-weighted variant with an m h² second term.  That needs
+    the loss gradient only at Wb: with ``pairs="center"`` it is one
+    ``batch_output_grad``, at ``params``, and each Wa costs only a forward
+    pass and ``lossgrad.loss_from_trace``.  Each details row records the
+    pair kind and the layer-1 units flipped at its input.  A coincident-pair
+    control asserts R == 0 exactly.
     """
     if pairs not in ("center", "independent"):
         raise ValueError(f"unknown pair scheme {pairs!r}")
@@ -427,14 +430,14 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
         deltas = [a - b for a, b in zip(wa.weights, wb.weights)]
         bta = forward_batch(wa, x[None, :])
         btb = forward_batch(wb, x[None, :])
-        lin = _linearization_terms(wb, btb, deltas)
+        lin = _linearization_terms(wb, btb, lossgrad._backward_rows(wb, btb)[0],
+                                   deltas)
         resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
         flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
         basis_f = coef_h * h + math.sqrt(m) * h * h
         loss_ratio = float("nan")
         if dataset is not None:
-            la, _, _ = lossgrad.loss_grad_from_trace(
-                wa, forward_batch(wa, dataset.xs), ys)
+            la = lossgrad.loss_from_trace(forward_batch(wa, dataset.xs), ys)
             lb, sb, gb = at_center if wb is params else lossgrad.loss_grad_from_trace(
                 wb, forward_batch(wb, dataset.xs), ys)
             lin_loss = sum(float(np.sum(d * g))
@@ -461,7 +464,8 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     wc = ball.draw()
     btc = forward_batch(wc, xs)
     zero = [np.zeros_like(w) for w in wc.weights]
-    control = btc.outputs - btc.outputs - _linearization_terms(wc, btc, zero)
+    control = btc.outputs - btc.outputs - _linearization_terms(
+        wc, btc, lossgrad._backward_rows(wc, btc)[0], zero)
     control_residual = float(np.max(np.abs(control)))
 
     ok = control_residual <= 1e-12
@@ -793,6 +797,18 @@ def _project_to_ball(params: NetworkParams, center: NetworkParams,
     return params.with_weights(new)
 
 
+def _ascent_step(params: NetworkParams, bt, weights, step_size) -> NetworkParams:
+    """``params`` moved by ``step_size`` along sum_i weights_i grad f(x_i).
+
+    The step's fresh buffers become the new weights.  The gradient is freed
+    on return, so it is not held through the projection and the next step;
+    that saves more peak memory than the center rows the ascent keeps cost.
+    """
+    grads = lossgrad.batch_output_grad(params, bt, weights)
+    steps = [g * step_size for g in grads.layers]
+    return params.with_weights(np.add(w, s, out=s) for w, s in zip(params.weights, steps))
+
+
 def rademacher_estimate(params: NetworkParams, tau: float, dataset,
                         rng: RngState, xi_draws: int = 16,
                         ascent_steps: int = 50, step_size=None) -> ProbeReport:
@@ -811,6 +827,7 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     if step_size is None:
         step_size = tau / 10.0
     bt0 = forward_batch(params, xs)
+    masked0 = lossgrad._backward_rows(params, bt0)[0]
     values = []
     rows = []
     gap_max = 0.0
@@ -828,11 +845,8 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
                 diverged = True
                 break
             best = max(best, obj)
-            grads = lossgrad.batch_output_grad(current, bt, xi / n)
-            steps = [g * step_size for g in grads.layers]  # fresh buffers
-            stepped = current.with_weights(
-                np.add(w, s, out=s) for w, s in zip(current.weights, steps))
-            current = _project_to_ball(stepped, params, tau)
+            current = _project_to_ball(_ascent_step(current, bt, xi / n, step_size),
+                                       params, tau)
         if diverged:
             dropped += 1
             continue
@@ -842,7 +856,7 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
             best = max(best, obj_end)
         # first-order linearization gap at the endpoint
         deltas = [w - w0 for w, w0 in zip(current.weights, params.weights)]
-        lin = _linearization_terms(params, bt0, deltas)
+        lin = _linearization_terms(params, bt0, masked0, deltas)
         gap = float(np.max(np.abs(bt_end.outputs - (bt0.outputs + lin))))
         gap_max = max(gap_max, gap)
         values.append(best)
@@ -940,9 +954,8 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, d, m, m_last,
     row["final_train_err"] = last.train_err
     row["final_surrogate"] = last.surrogate
     if L >= 2 and probe_inputs is not None:
-        ref = init_gaussian(rng.substream(f"init/{arch}/{L}"),
-                            d, L, m, m_last, theta, arch)
-        row["h2l_init"] = max(interlayer_norm(InterlayerOp(forward(ref, x), 2, L))
+        # train never writes the weights it starts from: params is the init
+        row["h2l_init"] = max(interlayer_norm(InterlayerOp(forward(params, x), 2, L))
                               for x in probe_inputs)
         row["h2l_final"] = max(interlayer_norm(
             InterlayerOp(forward(result.params, x), 2, L)) for x in probe_inputs)

@@ -123,6 +123,8 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns, eta,
 
     The spectral step distance h is the one expensive field; callers that
     only need the cheap metrics (loss, norms, distances) can defer it.
+    Also returns the iterate's activation patterns, without the rest of
+    its trace.
     """
     bt = forward_batch(params, xs)
     loss, surrogate, grads = lossgrad.loss_grad_from_trace(params, bt, ys)
@@ -147,7 +149,7 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns, eta,
         xl_min=float(np.min(xl_norms)),
         xl_max=float(np.max(xl_norms)),
     )
-    return rec, grads, surrogate.empirical
+    return rec, grads, surrogate.empirical, bt.patterns
 
 
 def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
@@ -169,7 +171,7 @@ def gd_step(params: NetworkParams, dataset, eta: float,
     """
     xs, ys = lossgrad._as_xy(dataset)
     ref = init_params if init_params is not None else params
-    rec, grads, _ = _evaluate(params, xs, ys, 0, ref.weights, None, eta)
+    rec, grads, _, _ = _evaluate(params, xs, ys, 0, ref.weights, None, eta)
     new_params = _apply_update(params, grads, eta)
     dist = tuple(numkit.frobenius_norm(w - w0)
                  for w, w0 in zip(new_params.weights, ref.weights))
@@ -188,13 +190,16 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     if cfg.steps == 0:
         return result  # zero budget: the untouched init, empty trajectory
     init_weights = params.weights
-    init_patterns = forward_batch(params, xs).patterns
+    init_patterns = None  # from the k = 0 evaluation, whose flip_frac is 0
     best = np.inf
     for k in range(cfg.steps + 1):
         recording = k % cfg.record_every == 0 or k == cfg.steps
-        rec, grads, surrogate = _evaluate(
+        rec, grads, surrogate, patterns = _evaluate(
             params, xs, ys, k, init_weights, init_patterns, cfg.eta,
             with_h=recording)
+        if init_patterns is None:
+            init_patterns = patterns
+        del patterns  # held through the next evaluation, they raise peak memory
         stopping = (cfg.stop_surrogate is not None
                     and surrogate <= cfg.stop_surrogate)
         if stopping and not recording:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,35 @@ class TestPersistence:
         path.write_bytes(b"")
         with pytest.raises(DataFormatError):
             load_dataset(path)
+
+    def test_sample_bytes_pinned_against_hand_built(self, tmp_path):
+        # each sample is d little-endian float64 then one signed label byte
+        ds = self.make_ds()
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        want = b"".join(struct.pack(f"<{v.size}d", *v.ravel())
+                        for v in (ds.teacher.directions, ds.teacher.coeffs))
+        want += b"".join(struct.pack(f"<{ds.d}db", *x, int(y))
+                         for x, y in zip(ds.xs, ds.ys))
+        assert payload == want
+        assert json.loads(header)["n"] == ds.n
+
+    def test_truncation_names_the_first_incomplete_sample(self, tmp_path):
+        ds = self.make_ds()
+        path = tmp_path / "trunc.bin"
+        save_dataset(ds, path)
+        full = path.read_bytes()
+        record = 8 * ds.d + 1
+        start = len(full) - ds.n * record  # first sample's offset
+        for keep, sample in ((3 * record + 5, 3), (2 * record, 2), (0, 0),
+                             (ds.n * record - 1, ds.n - 1)):
+            path.write_bytes(full[:start + keep])
+            at = start + sample * record
+            with pytest.raises(DataFormatError,
+                               match=f"truncated sample {sample} at byte {at}: "
+                                     f"wanted {record} bytes, got {keep - sample * record}$"):
+                load_dataset(path)
 
     def test_truncation_reported_with_offset(self, tmp_path):
         ds = self.make_ds()

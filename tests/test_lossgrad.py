@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reslab import lossgrad, model
+from reslab import lossgrad, model, numkit
 from reslab.lossgrad import (batch_loss_grad, batch_output_grad, finite_diff_oracle,
                              output_gradient, perturbation_flips, xent, xent_deriv)
 from reslab.model import forward, forward_batch, init_gaussian
@@ -239,6 +239,22 @@ class TestBatchLossGrad:
         xs, ys = self.make_data(p, 7, seed=80)
         loss, _, _ = batch_loss_grad(p, (xs, ys))
         assert loss.total == pytest.approx(float(np.mean(loss.per_sample)), rel=1e-12)
+
+    def test_loss_only_matches_loss_grad_bits(self):
+        for arch in ("residual", "plain"):
+            p = net(17, L=5, m=32, m_last=24, arch=arch)
+            xs, ys = self.make_data(p, 40, seed=92)
+            bt = forward_batch(p, xs)
+            alone = lossgrad.loss_from_trace(bt, ys)
+            loss, _, _ = lossgrad.loss_grad_from_trace(p, bt, ys)
+            assert alone.total.hex() == loss.total.hex()
+            assert alone.per_sample.tobytes() == loss.per_sample.tobytes()
+            want = numkit.pairwise_sum(xent(ys * bt.outputs)) / 40
+            assert alone.total.hex() == want.hex()
+        with pytest.raises(lossgrad.DataError):
+            lossgrad.loss_from_trace(bt, np.where(ys > 0, 1.0, 0.0))
+        with pytest.raises(lossgrad.DataError):
+            lossgrad.loss_from_trace(bt, ys[:-1])
 
     def test_output_grad_bits_match_unshared_formula(self):
         # each masked block rows[l] * sigma_l is formed once and shared by

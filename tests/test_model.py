@@ -3,8 +3,8 @@ import pytest
 
 from reslab import model, numkit
 from reslab.model import (InterlayerOp, forward, forward_batch, init_gaussian,
-                          interlayer_apply, interlayer_norm, load_checkpoint,
-                          output_vector, save_checkpoint)
+                          interlayer_apply, interlayer_norm, interlayer_norms,
+                          load_checkpoint, output_vector, save_checkpoint)
 from reslab.numkit import RngState
 
 
@@ -241,6 +241,52 @@ class TestInterlayer:
                 if l > lp:
                     assert oracle == 1.0
                 assert interlayer_norm(op) == pytest.approx(oracle, rel=1e-10)
+
+    def test_chained_norms_match_each_pair_bit_for_bit(self):
+        # one chain per start layer must give the bits of forming each pair's
+        # operator from the identity on its own
+        def formed(p, t, l, lp):
+            h = np.eye(p.dim_at(l - 1))
+            for r in range(l, lp + 1):
+                masked = t.pattern(r)[:, None] * (p.weights[r - 1].T @ h)
+                mid = p.arch == "residual" and 2 <= r <= p.depth
+                h = h + p.theta * masked if mid else masked
+            return numkit.spectral_norm(h)
+
+        L = 6
+        pairs = [(2, L + 1), (1, L), (2, 3), (L, L), (2, L), (3, L + 1), (1, 2),
+                 (2, 3), (3, 2), (L + 2, L + 1), (1, L + 1), (4, L)]
+        for arch in ("residual", "plain"):
+            p = small_net(seed=40, d=4, L=L, m=16, m_last=12, theta=0.3 / L, arch=arch)
+            t = forward(p, unit(RngState(41).standard_normal(4)))
+            chained = interlayer_norms(t, pairs)
+            assert len(chained) == len(pairs)
+            for (l, lp), hn in zip(pairs, chained):
+                assert hn.hex() == interlayer_norm(InterlayerOp(t, l, lp)).hex()
+                assert hn.hex() == formed(p, t, l, lp).hex()
+
+    def test_chain_forms_each_start_layer_once(self, monkeypatch):
+        calls = []
+        apply = model._factor_apply
+
+        def counted(params, pattern, w, r, a):
+            calls.append(r)
+            return apply(params, pattern, w, r, a)
+
+        monkeypatch.setattr(model, "_factor_apply", counted)
+        L = 6
+        p = small_net(seed=42, L=L, m=16, m_last=16)
+        t = forward(p, unit(RngState(43).standard_normal(4)))
+        interlayer_norms(t, [(2, L), (1, L), (2, 3), (3, 4), (2, L + 1), (3, L), (5, 4)])
+        # start 2 runs to L+1, start 1 to L, start 3 to L; (5, 4) is empty
+        assert sorted(calls) == sorted([*range(2, L + 2), *range(1, L + 1),
+                                        *range(3, L + 1)])
+
+    def test_chain_rejects_a_bad_range(self):
+        p = small_net()
+        t = forward(p, unit(np.ones(4)))
+        with pytest.raises(model.ShapeError):
+            interlayer_norms(t, [(2, 3), (0, 2)])
 
     def test_submultiplicative_sanity(self):
         p = small_net(seed=22, L=6, m=16, m_last=16)

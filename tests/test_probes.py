@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reslab import numkit, probes, trainer
+from reslab import lossgrad, model, numkit, probes, trainer
 from reslab.data import Teacher, make_teacher, sample_dataset
 from reslab.model import NetworkParams, forward_batch, init_gaussian, output_vector
 from reslab.numkit import RngState
@@ -113,6 +113,24 @@ class TestActivationNormProbe:
         assert rep.verdict == "violated"
         assert rep.measured["h_mid_max"] <= rep.bound_expr  # middle products still fine
 
+    def test_one_chain_per_start_layer(self, toy, monkeypatch):
+        # L = 4: pairs (1,4) (2,3) (2,4) (2,5) (3,4) (4,4) share the chains
+        # from layers 1, 2, 3 and 4, 4 + 4 + 2 + 1 factors, not 16
+        rng, _, _, params = toy
+        calls = []
+        apply = model._factor_apply
+
+        def counted(*args):
+            calls.append(args[3])
+            return apply(*args)
+
+        monkeypatch.setattr(model, "_factor_apply", counted)
+        xs = sphere(rng.substream("chain"), 3, params.d)
+        rep = probes.probe_activation_norms(params, xs, h_inputs=2)
+        assert [r[1:3] for r in rep.details if r[0] == "hnorm"] == 2 * [
+            [1, 4], [2, 3], [2, 4], [2, 5], [3, 4], [4, 4]]
+        assert len(calls) == 2 * 11
+
     def test_rejects_off_sphere_inputs(self, toy):
         _, _, _, params = toy
         with pytest.raises(ValueError):
@@ -171,6 +189,27 @@ class TestSemismoothness:
         assert rep.verdict == "hold"
         assert np.isfinite(rep.measured["fitted_cbar_f"])
         assert np.isfinite(rep.measured["fitted_cbar_loss"])
+
+    def test_loss_gradient_only_at_the_center(self, toy, monkeypatch):
+        # trial points need only their loss: with center pairs the one loss
+        # gradient is the center's, with independent pairs one more per draw
+        rng, _, ds, params = toy
+        xs = sphere(rng.substream("xs"), 4, params.d)
+        calls = []
+        grad = lossgrad.batch_output_grad
+
+        def counted(p, *args):
+            calls.append(p)
+            return grad(p, *args)
+
+        monkeypatch.setattr(lossgrad, "batch_output_grad", counted)
+        probes.probe_semismoothness(params, rng.substream("ssball"), xs,
+                                    tau=0.1, draws=6, dataset=ds)
+        assert calls == [params]
+        calls.clear()
+        probes.probe_semismoothness(params, rng.substream("ssball"), xs, tau=0.1,
+                                    draws=6, dataset=ds, pairs="independent")
+        assert len(calls) == 1 + 6 and calls[0] is params
 
     def test_targeted_pairs_stay_in_ball(self, toy):
         rng, _, _, params = toy
@@ -366,6 +405,22 @@ class TestRademacher:
         rep = probes.rademacher_estimate(params, 0.0, ds, rng.substream("r0"),
                                          xi_draws=4, ascent_steps=5)
         assert rep.measured["estimate"] == 0.0
+
+    def test_center_rows_formed_once_per_call(self, toy, monkeypatch):
+        # one backward pass per ascent step, plus the center's rows once
+        rng, _, ds, params = toy
+        calls = []
+        rows = lossgrad._backward_rows
+
+        def counted(p, bt):
+            calls.append(p)
+            return rows(p, bt)
+
+        monkeypatch.setattr(lossgrad, "_backward_rows", counted)
+        rep = probes.rademacher_estimate(params, 0.1, ds, rng.substream("rc"),
+                                         xi_draws=3, ascent_steps=4)
+        assert rep.measured["dropped"] == 0
+        assert len(calls) == 1 + 3 * 4
 
     def test_nondecreasing_in_tau_with_shared_draws(self, toy):
         rng, _, ds, params = toy

@@ -167,6 +167,25 @@ class TestTrain:
         assert res.records[0].flip_frac == 0.0
         assert res.records[-1].flip_frac > 0.0
 
+    def test_one_forward_pass_per_evaluation(self, small_problem, monkeypatch):
+        # the initialization's patterns come from the k = 0 evaluation
+        params, ds = small_problem
+        calls = []
+        forward = trainer.forward_batch
+
+        def counted(p, xs):
+            calls.append(p)
+            return forward(p, xs)
+
+        monkeypatch.setattr(trainer, "forward_batch", counted)
+        res = train(params, ds, TrainConfig(eta=0.1, steps=7, record_every=3))
+        assert len(calls) == res.steps_run + 1 == 8
+        init, last = forward(params, ds.xs), forward(res.params, ds.xs)
+        flips = sum(int(np.count_nonzero(a != b))
+                    for a, b in zip(init.patterns, last.patterns))
+        assert res.records[-1].step == 7
+        assert res.records[-1].flip_frac == flips / sum(a.size for a in init.patterns) > 0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=0.0, steps=5)
