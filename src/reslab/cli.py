@@ -117,12 +117,6 @@ def _dataset_path(cfg) -> str:
     return cfg["data"] or os.path.join(cfg["out"], "dataset.bin")
 
 
-def _init_params(cfg, rng: RngState) -> model.NetworkParams:
-    return model.init_gaussian(rng.substream("init"), cfg["d"], cfg["L"],
-                               cfg["m"], cfg["m_last"], resolved_theta(cfg),
-                               cfg["arch"])
-
-
 def _load_or_init_params(cfg, rng, dataset=None):
     if cfg["checkpoint"]:
         params = model.load_checkpoint(cfg["checkpoint"])
@@ -130,7 +124,8 @@ def _load_or_init_params(cfg, rng, dataset=None):
             raise model.ShapeError(
                 f"checkpoint input dim {params.d} != dataset dim {dataset.d}")
         return params
-    return _init_params(cfg, rng)
+    return model.init_gaussian(rng.substream("init"), cfg["d"], cfg["L"], cfg["m"],
+                               cfg["m_last"], resolved_theta(cfg), cfg["arch"])
 
 
 def cmd_gen_data(cfg) -> int:
@@ -148,10 +143,7 @@ def cmd_gen_data(cfg) -> int:
         "realized_margin": ds.realized_margin,
         "positive_fraction": float(np.mean(ds.ys > 0)),
     }
-    with open(os.path.join(cfg["out"], "gen_report.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    data.write_json(os.path.join(cfg["out"], "gen_report.json"), report)
     print(f"wrote {path} (n={ds.n}, acceptance {ds.acceptance_rate:.2%}, "
           f"margin {ds.realized_margin:.4f})")
     return EXIT_OK
@@ -167,8 +159,7 @@ def cmd_train(cfg) -> int:
     params = _load_or_init_params(cfg, root, ds)
     tcfg = trainer.TrainConfig(
         eta=resolved_eta(cfg), steps=cfg["K"], tau_budget=cfg["tau"],
-        stop_surrogate=cfg["stop_surrogate"], record_every=cfg["record_every"],
-        seed=(cfg["seed"], 0))
+        stop_surrogate=cfg["stop_surrogate"], record_every=cfg["record_every"])
     result = trainer.train(params, ds, tcfg)
     os.makedirs(cfg["out"], exist_ok=True)
     trainer.write_trajectory_csv(result.records,
@@ -240,13 +231,7 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
                                       cfg["heldout_n"])
         return probes.probe_surrogate_markov(params, heldout, cfg["markov_band"])
     if name == "depth_sweep":
-        return probes.depth_sweep(
-            root.substream("sweep"), tuple(cfg["sweep_L"]),
-            tuple(cfg["sweep_arch"]), d=cfg["d"], m=cfg["sweep_m"],
-            m_last=cfg["sweep_m"], n=cfg["n"], gamma=cfg["gamma"], M=cfg["M"],
-            theta_per_L=cfg["theta_per_L"], eta_scale=cfg["sweep_eta_scale"],
-            steps_budget=cfg["steps_budget"],
-            surrogate_target=cfg["surrogate_target"])
+        return _depth_sweep(cfg)
     raise UsageError(f"unknown probe {name!r}; valid: {', '.join(PROBE_NAMES)}")
 
 
@@ -274,10 +259,7 @@ def cmd_probe(cfg) -> int:
         index["verdicts"][report.name] = report.verdict
         print(f"probe {report.name}: {report.verdict}")
     index["config"] = _echo(cfg)
-    with open(os.path.join(cfg["out"], "index.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    data.write_json(os.path.join(cfg["out"], "index.json"), index)
     return EXIT_OK
 
 
@@ -287,44 +269,24 @@ SWEEP_CELL_KEYS = ("d", "n", "M", "gamma", "seed", "sweep_m", "theta_per_L",
                    "sweep_eta_scale", "steps_budget", "surrogate_target")
 
 
+def _depth_sweep(cfg, cache=None) -> probes.ProbeReport:
+    return probes.depth_sweep(
+        RngState(cfg["seed"]).substream("sweep"), tuple(cfg["sweep_L"]),
+        tuple(cfg["sweep_arch"]), d=cfg["d"], m=cfg["sweep_m"],
+        m_last=cfg["sweep_m"], n=cfg["n"], gamma=cfg["gamma"], M=cfg["M"],
+        theta_per_L=cfg["theta_per_L"], eta_scale=cfg["sweep_eta_scale"],
+        steps_budget=cfg["steps_budget"],
+        surrogate_target=cfg["surrogate_target"], cache=cache)
+
+
 def cmd_sweep(cfg) -> int:
-    root = RngState(cfg["seed"])
-    sweep_rng = root.substream("sweep")
-    teacher = data.make_teacher(sweep_rng.substream("teacher"), cfg["d"],
-                                cfg["M"], cfg["gamma"])
-    ds = data.sample_dataset(teacher, sweep_rng.substream("data"), cfg["n"])
-    probe_inputs = ds.xs[:3]
     os.makedirs(cfg["out"], exist_ok=True)
-    rows = []
-    for arch in cfg["sweep_arch"]:
-        for L in cfg["sweep_L"]:
-            inputs = {"arch": arch, "L": L, **{k: cfg[k] for k in SWEEP_CELL_KEYS}}
-            cell_dir = os.path.join(cfg["out"], f"cell_{arch}_L{L}")
-            cell_file = os.path.join(cell_dir, "cell.json")
-            row = None
-            if os.path.exists(cell_file):
-                with open(cell_file, "r", encoding="utf-8") as fh:
-                    row = json.load(fh)
-            if row is None or row.get("inputs") != inputs:  # absent or stale
-                row = probes.sweep_cell(
-                    sweep_rng, arch, L, ds, cfg["d"], cfg["sweep_m"],
-                    cfg["sweep_m"], cfg["theta_per_L"], cfg["sweep_eta_scale"],
-                    cfg["steps_budget"], cfg["surrogate_target"],
-                    probe_inputs=probe_inputs)
-                row["inputs"] = inputs
-                os.makedirs(cell_dir, exist_ok=True)
-                with open(cell_file, "w", encoding="utf-8", newline="\n") as fh:
-                    json.dump(row, fh, sort_keys=True, indent=2)
-                    fh.write("\n")
-            rows.append(row)
-            print(f"cell {arch} L={L}: steps={row['steps_to_threshold']}")
+    rep = _depth_sweep(cfg, cache=(cfg["out"], {k: cfg[k] for k in SWEEP_CELL_KEYS}))
+    for row in rep.details:
+        print(f"cell {row[0]} L={row[1]}: steps={row[4]}")
     agg = os.path.join(cfg["out"], "sweep.csv")
-    with open(agg, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(probes.SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in probes.SWEEP_COLUMNS) + "\n")
-    print(f"wrote {agg} ({len(rows)} cells)")
+    data.write_csv(agg, rep.detail_columns, rep.details)
+    print(f"wrote {agg} ({len(rep.details)} cells)")
     return EXIT_OK
 
 
@@ -341,7 +303,7 @@ def cmd_gradcheck(cfg) -> int:
                                      0.1 / 6, "residual")
         x = rng.substream(f"x/{t}").standard_normal(4)
         x /= np.linalg.norm(x)
-        trace = model.forward(params, x)
+        trace = model.forward_batch(params, x[None, :])
         entry_rng = rng.substream(f"entries/{t}")
         for l in range(1, params.depth + 2):
             g = lossgrad.output_gradient(params, trace, l)

@@ -11,6 +11,7 @@ header plus a little-endian float64 payload.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,3 +272,24 @@ def load_dataset(path) -> MarginDataset:
     seed = tuple(header["seed"]) if header.get("seed") is not None else None
     return MarginDataset(xs, ys, float(np.min(margins)), teacher, seed,
                          float(header["acceptance_rate"]))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as sorted, indented JSON plus a final newline, written whole or
+    not at all: to a temporary file beside ``path``, then renamed over it."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def write_csv(path, columns, rows) -> None:
+    """The lab's one CSV layout: a header of ``columns``, then one line per
+    row, floats as ``repr`` (round-trip exact) and all else as ``str``,
+    UTF-8 with ``\\n`` line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .model import BatchTrace, NetworkParams, forward, forward_batch
+from .model import BatchTrace, NetworkParams, forward_batch
 
 
 class DataError(ValueError):
@@ -91,14 +91,14 @@ def _backward_rows(params: NetworkParams, bt: BatchTrace) -> tuple:
     return masked, g
 
 
-def output_gradient(params: NetworkParams, trace, l: int) -> np.ndarray:
-    """Analytic gradient of the network output with respect to W_l."""
+def output_gradient(params: NetworkParams, trace: BatchTrace, l: int) -> np.ndarray:
+    """Analytic gradient of the network output with respect to W_l at the
+    input of a one-row trace."""
     L = params.depth
     if not 1 <= l <= L + 1:
         raise IndexError(f"layer {l} out of range 1..{L + 1}")
-    bt = forward_batch(params, trace.x[None, :])
-    b = _backward_rows(params, bt)[0][l][0]
-    a = bt.activations[l - 1][0]
+    b = _backward_rows(params, trace)[0][l][0]
+    a = trace.activations[l - 1][0]
     return params.layer_scale(l) * np.outer(a, b)
 
 
@@ -173,9 +173,9 @@ def finite_diff_oracle(params: NetworkParams, x: np.ndarray, l: int,
     """Central difference of the output along weight entry (i, j) of layer l."""
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    f_plus = forward(_perturbed(params, l, i, j, +h), x).output
-    f_minus = forward(_perturbed(params, l, i, j, -h), x).output
-    return (f_plus - f_minus) / (2.0 * h)
+    f_plus = forward_batch(_perturbed(params, l, i, j, +h), x[None, :]).outputs[0]
+    f_minus = forward_batch(_perturbed(params, l, i, j, -h), x[None, :]).outputs[0]
+    return float(f_plus - f_minus) / (2.0 * h)
 
 
 def perturbation_flips(params: NetworkParams, x: np.ndarray, l: int,
@@ -185,10 +185,9 @@ def perturbation_flips(params: NetworkParams, x: np.ndarray, l: int,
     Flipped entries sit on a kink of the piecewise-linear output, where the
     central difference no longer matches the one-sided analytic gradient.
     """
-    base = forward(params, x)
+    base = forward_batch(params, x[None, :])
     for delta in (+h, -h):
-        pert = forward(_perturbed(params, l, i, j, delta), x)
-        for pl in range(1, params.depth + 2):
-            if not np.array_equal(base.pattern(pl), pert.pattern(pl)):
-                return True
+        pert = forward_batch(_perturbed(params, l, i, j, delta), x[None, :])
+        if not all(map(np.array_equal, base.patterns, pert.patterns)):
+            return True
     return False

@@ -155,34 +155,13 @@ def _check_unit_rows(x: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class ActivationTrace:
-    """Forward pass record for a single input.
-
-    ``activations[l]`` is x_l (so activations[0] is the input) and
-    ``pattern(l)`` is the boolean activation pattern sigma_l for l = 1..L+1.
-    """
-
-    params: NetworkParams
-    activations: tuple
-    patterns: tuple  # patterns[l-1] is sigma_l
-    output: float
-
-    @property
-    def x(self) -> Vector:
-        return self.activations[0]
-
-    def activation(self, l: int) -> Vector:
-        return self.activations[l]
-
-    def pattern(self, l: int) -> np.ndarray:
-        if not 1 <= l <= self.params.depth + 1:
-            raise ShapeError(f"pattern layer {l} out of range")
-        return self.patterns[l - 1]
-
-
-@dataclass(frozen=True)
 class BatchTrace:
-    """Vectorized forward record; row i of every array belongs to sample i."""
+    """Forward record of a batch; row i of every array belongs to input i.
+
+    ``activations[l]`` is x_l (so activations[0] holds the inputs) and
+    ``pattern(l)`` is the boolean activation pattern sigma_l for
+    l = 1..L+1.  One input is a one-row batch.
+    """
 
     params: NetworkParams
     activations: tuple  # activations[l] has shape (n, m_l)
@@ -222,47 +201,9 @@ def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
     return BatchTrace(params, tuple(acts), tuple(pats), outputs)
 
 
-def forward(params: NetworkParams, x: Vector) -> ActivationTrace:
-    """Forward pass for one unit-norm input, recording activations and patterns."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("forward expects a 1-d input vector")
-    bt = forward_batch(params, x[None, :])
-    acts = tuple(a[0] for a in bt.activations)
-    pats = tuple(p[0] for p in bt.patterns)
-    return ActivationTrace(params, acts, pats, float(bt.outputs[0]))
-
-
 def _check_range(L: int, l: int, lp: int) -> None:
     if not (1 <= l <= L + 2) or not (0 <= lp <= L + 1):
         raise ShapeError(f"interlayer range ({l}, {lp}) out of bounds for L={L}")
-
-
-@dataclass(frozen=True)
-class InterlayerOp:
-    """Frozen-pattern operator H_l^{l'} taken from a recorded trace.
-
-    For 2 <= l <= l' <= L this is the product of (I + theta*sigma_r W_rᵀ)
-    over r = l..l'.  Boundary conventions: the r = 1 factor is sigma_1 W_1ᵀ
-    and the r = L+1 factor is sigma_{L+1} W_{L+1}ᵀ.  An empty range (l > l')
-    is the identity.  Patterns come from the trace and are never recomputed,
-    so the operator is linear even though the network is not.
-    """
-
-    trace: ActivationTrace
-    l: int
-    lp: int
-
-    def __post_init__(self):
-        _check_range(self.trace.params.depth, self.l, self.lp)
-
-    @property
-    def params(self) -> NetworkParams:
-        return self.trace.params
-
-    @property
-    def in_dim(self) -> int:
-        return self.params.dim_at(self.l - 1)
 
 
 def _factor_apply(params, pattern, w, r, a):
@@ -272,21 +213,31 @@ def _factor_apply(params, pattern, w, r, a):
     return masked
 
 
-def interlayer_apply(op: InterlayerOp, a: Vector) -> Vector:
-    """H_l^{l'} · a with the trace's frozen patterns."""
+def interlayer_apply(trace: BatchTrace, row: int, l: int, lp: int,
+                     a: Vector) -> Vector:
+    """H_l^{l'} · a with the frozen patterns of ``trace``'s row ``row``.
+
+    For 2 <= l <= l' <= L, H_l^{l'} is the product of (I + theta*sigma_r W_rᵀ)
+    over r = l..l'.  Boundary conventions: the r = 1 factor is sigma_1 W_1ᵀ
+    and the r = L+1 factor is sigma_{L+1} W_{L+1}ᵀ.  An empty range (l > l')
+    is the identity.  Patterns come from the trace and are never recomputed,
+    so the operator is linear even though the network is not.
+    """
+    params = trace.params
+    _check_range(params.depth, l, lp)
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (op.in_dim,):
-        raise ShapeError(f"operand has shape {a.shape}, operator expects ({op.in_dim},)")
-    params = op.params
+    in_dim = params.dim_at(l - 1)
+    if a.shape != (in_dim,):
+        raise ShapeError(f"operand has shape {a.shape}, operator expects ({in_dim},)")
     out = a
-    for r in range(op.l, op.lp + 1):
-        out = _factor_apply(params, op.trace.pattern(r), params.weights[r - 1], r, out)
+    for r in range(l, lp + 1):
+        out = _factor_apply(params, trace.pattern(r)[row], params.weights[r - 1], r, out)
     return out
 
 
-def interlayer_norms(trace: ActivationTrace, pairs) -> list:
-    """Spectral norms of H_l^{l'} for each (l, l') in ``pairs``, in order,
-    exact to rounding.
+def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
+    """Spectral norms of H_l^{l'} (see ``interlayer_apply``) at ``trace``'s
+    row ``row``, for each (l, l') in ``pairs``, in order, exact to rounding.
 
     Each start layer's operator is formed once, from the identity, applying
     each factor to every column at once; its top singular value is taken
@@ -305,24 +256,11 @@ def interlayer_norms(trace: ActivationTrace, pairs) -> list:
         r = l  # the next factor to apply
         for lp, i in sorted(wanted):
             while r <= lp:
-                h = _factor_apply(params, trace.pattern(r)[:, None],
+                h = _factor_apply(params, trace.pattern(r)[row, :, None],
                                   params.weights[r - 1], r, h)
                 r += 1
             norms[i] = numkit.spectral_norm(h)
     return norms
-
-
-def interlayer_norm(op: InterlayerOp) -> float:
-    """Spectral norm of H_l^{l'}, exact to rounding: ``interlayer_norms``
-    with the one pair (l, l')."""
-    return interlayer_norms(op.trace, [(op.l, op.lp)])[0]
-
-
-def output_via_interlayer(trace: ActivationTrace, l: int) -> float:
-    """vᵀ H_{l+1}^{L+1} x_l; equals the recorded output for every split l."""
-    params = trace.params
-    op = InterlayerOp(trace, l + 1, params.depth + 1)
-    return float(params.v @ interlayer_apply(op, trace.activation(l)))
 
 
 # --- checkpoint file format -------------------------------------------------

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lossgrad, numkit, trainer
-from .data import MarginDataset, Teacher, sample_dataset
-from .model import (InterlayerOp, NetworkParams, forward, forward_batch,
-                    init_gaussian, interlayer_apply, interlayer_norm,
+from .data import (MarginDataset, Teacher, make_teacher, sample_dataset, write_csv,
+                   write_json)
+from .model import (NetworkParams, forward_batch, init_gaussian, interlayer_apply,
                     interlayer_norms)
 from .numkit import RngState
 
@@ -61,14 +61,8 @@ class ProbeReport:
             "config": self.config,
             "details_file": os.path.basename(details_path),
         }
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(details_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.detail_columns) + "\n")
-            for row in self.details:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+        write_json(report_path, payload)
+        write_csv(details_path, self.detail_columns, self.details)
         return {"report": report_path, "details": details_path}
 
 
@@ -158,8 +152,9 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
     """Hidden-layer norm window and interlayer operator norms.
 
     Measures ||x_l|| for every layer over all inputs, and the spectral norm
-    of H_l^{l'} over a fixed set of (l, l') pairs on a few inputs, one
-    ``interlayer_norms`` chain per start layer and input.  Verdict
+    of H_l^{l'} over a fixed set of (l, l') pairs on the first few inputs,
+    one ``interlayer_norms`` chain per start layer and input, on the rows of
+    the one forward pass over all inputs.  Verdict
     holds iff every activation norm lies in [norm_low, norm_high] and every
     middle-range operator (2 <= l <= l' <= L) stays below ``h_limit``
     (default exp(3*theta*L)); operators crossing the first or last layer
@@ -186,7 +181,7 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
     h_all_max = 0.0
     pairs = _default_layer_pairs(L)
     for i in range(min(h_inputs, xs.shape[0])):
-        for (l, lp), hn in zip(pairs, interlayer_norms(forward(params, xs[i]), pairs)):
+        for (l, lp), hn in zip(pairs, interlayer_norms(bt, i, pairs)):
             h_all_max = max(h_all_max, hn)
             if 2 <= l and lp <= L:
                 h_mid_max = max(h_mid_max, hn)
@@ -732,13 +727,10 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
         x = rng.standard_normal(params.d)
         x /= np.linalg.norm(x)
         wt = ball.draw()
-        trace = forward(wt, x)
+        trace = forward_batch(wt, x[None, :])
         a = _sparse_unit(rng, m, sparsity)
-        worst = 0.0
-        for l in range(2, L + 2):
-            val = abs(float(params.v @ interlayer_apply(
-                InterlayerOp(trace, l, L + 1), a)))
-            worst = max(worst, val)
+        worst = max(abs(float(params.v @ interlayer_apply(trace, 0, l, L + 1, a)))
+                    for l in range(2, L + 2))
         fitted = max(fitted, worst / basis)
         rows.append([t, worst, basis])
     return ProbeReport(
@@ -955,10 +947,27 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, d, m, m_last,
     row["final_surrogate"] = last.surrogate
     if L >= 2 and probe_inputs is not None:
         # train never writes the weights it starts from: params is the init
-        row["h2l_init"] = max(interlayer_norm(InterlayerOp(forward(params, x), 2, L))
-                              for x in probe_inputs)
-        row["h2l_final"] = max(interlayer_norm(
-            InterlayerOp(forward(result.params, x), 2, L)) for x in probe_inputs)
+        for key, net in (("h2l_init", params), ("h2l_final", result.params)):
+            bt = forward_batch(net, probe_inputs)
+            row[key] = max(interlayer_norms(bt, i, [(2, L)])[0] for i in range(bt.n))
+    return row
+
+
+def _cached_cell(cache, arch, L, compute) -> dict:
+    """``cache``'s row for (arch, L) if computed from the same inputs, else
+    ``compute()``'s, stored; a half-written or malformed file is recomputed."""
+    path = os.path.join(cache[0], f"cell_{arch}_L{L}", "cell.json")
+    inputs = {"arch": arch, "L": L, **cache[1]}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            row = json.load(fh)
+    except (FileNotFoundError, ValueError):
+        row = None
+    if isinstance(row, dict) and row.get("inputs") == inputs and row.keys() >= set(SWEEP_COLUMNS):
+        return row
+    row = {**compute(), "inputs": inputs}
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_json(path, row)
     return row
 
 
@@ -966,26 +975,30 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
                 d=10, m=128, m_last=128, n=200, gamma=0.1, M=64,
                 theta_per_L=0.1, eta_scale=2.0, steps_budget=2000,
                 surrogate_target=0.3, max_retries=2,
-                ratio_limit=2.0) -> ProbeReport:
+                ratio_limit=2.0, cache=None) -> ProbeReport:
     """Steps-to-surrogate-threshold across depths for both architectures.
 
     All cells share one dataset and one tuning protocol (see sweep_cell).
     The verdict holds iff the residual cells' steps-to-threshold vary by at
     most ``ratio_limit`` across the depth grid; the plain baseline is
     reported alongside for comparison.
-    """
-    from .data import make_teacher  # local import to avoid cycle at module load
 
+    ``cache``, a (directory, stamp) pair, makes the sweep resumable: each
+    cell's row is stored in ``<directory>/cell_<arch>_L<L>/cell.json``
+    under ``inputs``, the stamp plus the cell's arch and depth, and a later
+    sweep reuses every stored row whose ``inputs`` match its own.
+    """
     teacher = make_teacher(rng.substream("teacher"), d, M, gamma)
     ds = sample_dataset(teacher, rng.substream("data"), n)
-    probe_inputs = ds.xs[:3]
     rows = []
     steps_by_cell = {}
     for arch in arches:
         for L in L_grid:
-            row = sweep_cell(rng, arch, L, ds, d, m, m_last, theta_per_L,
-                             eta_scale, steps_budget, surrogate_target,
-                             max_retries, probe_inputs)
+            def cell():
+                return sweep_cell(rng, arch, L, ds, d, m, m_last, theta_per_L,
+                                  eta_scale, steps_budget, surrogate_target,
+                                  max_retries, ds.xs[:3])
+            row = cell() if cache is None else _cached_cell(cache, arch, L, cell)
             steps = row["steps_to_threshold"]
             steps_by_cell[(arch, L)] = steps if steps >= 0 else None
             rows.append([row[c] for c in SWEEP_COLUMNS])

@@ -14,12 +14,12 @@ W_l <- W_l - eta * grad_l on every layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lossgrad, numkit
+from .data import write_csv, write_json
 from .model import NetworkParams, forward_batch
 
 TRAJECTORY_COLUMNS = [
@@ -44,7 +44,6 @@ class TrainConfig:
     tau_budget: float = None       # optional alarm threshold, never fatal
     stop_surrogate: float = None   # early-stop target for the surrogate loss
     record_every: int = 1
-    seed: tuple = None             # provenance only; GD itself is deterministic
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -161,23 +160,6 @@ def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
         np.subtract(w, s, out=s) for w, s in zip(params.weights, steps))
 
 
-def gd_step(params: NetworkParams, dataset, eta: float,
-            init_params: NetworkParams = None):
-    """One exact gradient-descent step W_l <- W_l - eta * grad_l.
-
-    The record carries the pre-step losses and gradient norms together with
-    the post-step distances from ``init_params`` (the pre-step weights when
-    no initialization is supplied).
-    """
-    xs, ys = lossgrad._as_xy(dataset)
-    ref = init_params if init_params is not None else params
-    rec, grads, _, _ = _evaluate(params, xs, ys, 0, ref.weights, None, eta)
-    new_params = _apply_update(params, grads, eta)
-    dist = tuple(numkit.frobenius_norm(w - w0)
-                 for w, w0 in zip(new_params.weights, ref.weights))
-    return new_params, replace(rec, dist_init=dist)
-
-
 def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     """Run at most cfg.steps GD iterations, recording the trajectory.
 
@@ -225,11 +207,7 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def write_trajectory_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in rec.csv_row()) + "\n")
+    write_csv(path, TRAJECTORY_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def write_summary_json(result: TrainResult, config_echo: dict, path) -> None:
@@ -241,6 +219,4 @@ def write_summary_json(result: TrainResult, config_echo: dict, path) -> None:
         "stopped_early": result.stopped_early,
         "steps_run": result.steps_run,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, summary)

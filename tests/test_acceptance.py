@@ -13,7 +13,7 @@ import pytest
 
 from reslab import cli, lossgrad, probes, trainer
 from reslab.data import make_teacher, sample_dataset
-from reslab.model import InterlayerOp, forward, init_gaussian, interlayer_norm
+from reslab.model import forward_batch, init_gaussian, interlayer_norms
 from reslab.numkit import RngState
 
 GOLDEN = dict(d=10, L=16, m=256, m_last=256, n=200, gamma=0.1, M=64,
@@ -83,7 +83,7 @@ def test_criterion_01_gradient_correctness():
         params = init_gaussian(rng.substream(f"net/{t}"), 4, 6, 16, 16, 0.1 / 6)
         x = rng.substream(f"x/{t}").standard_normal(4)
         x /= np.linalg.norm(x)
-        trace = forward(params, x)
+        trace = forward_batch(params, x[None, :])
         ernd = rng.substream(f"e/{t}")
         for l in range(1, params.depth + 2):
             g = lossgrad.output_gradient(params, trace, l)
@@ -108,13 +108,13 @@ def test_criterion_02_interlayer_depth_independence():
     for L in (8, 32, 128):
         params = init_gaussian(rng.substream(f"init/{L}"), 10, L, 256, 256, 0.1 / L)
         xrng = rng.substream(f"x/{L}")
-        worst = 0.0
+        xs = []
         for _ in range(100):
             x = xrng.standard_normal(10)
             x /= np.linalg.norm(x)
-            tr = forward(params, x)
-            worst = max(worst, interlayer_norm(InterlayerOp(tr, 2, L)))
-        maxes[L] = worst
+            xs.append(x)
+        tr = forward_batch(params, np.stack(xs))
+        maxes[L] = max(interlayer_norms(tr, i, [(2, L)])[0] for i in range(tr.n))
     bound = math.exp(3 * 0.1)  # theta * L = 0.1 at every depth
     ratio = maxes[128] / maxes[8]
     ok = all(v <= bound for v in maxes.values()) and ratio <= 1.15

@@ -168,6 +168,33 @@ class TestSweep:
         assert open(csv_path, "rb").read() == first
         assert os.path.getmtime(marker) == stamp
 
+    def test_half_written_cell_is_recomputed(self, tmp_path, cfg_file):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+        csv_path = os.path.join(out, "sweep.csv")
+        first = open(csv_path, "rb").read()
+        cell = os.path.join(out, "cell_residual_L2", "cell.json")
+        whole = open(cell, "rb").read()
+        stub = json.loads(whole)
+        del stub["h2l_final"]
+        # truncated; not a JSON object; a row with the right inputs but a column short
+        for broken in (whole[:40], b"[1, 2]\n", json.dumps(stub).encode()):
+            with open(cell, "wb") as fh:
+                fh.write(broken)
+            assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+            assert open(csv_path, "rb").read() == first
+            assert open(cell, "rb").read() == whole
+        assert sorted(os.listdir(os.path.dirname(cell))) == ["cell.json"]
+
+    def test_sweep_csv_matches_depth_sweep_probe(self, tmp_path, cfg_file):
+        sweep, probe = str(tmp_path / "sweep"), str(tmp_path / "probe")
+        assert main(["sweep", "--config", cfg_file, "--out", sweep]) == 0
+        assert main(["probe", "--config", cfg_file, "--out", probe,
+                     "--probes", "depth_sweep"]) == 0
+        rows = open(os.path.join(sweep, "sweep.csv"), "rb").read()
+        assert rows == open(os.path.join(probe, "depth_sweep.details.csv"), "rb").read()
+        assert rows.count(b"\n") == 3  # header + 2 cells
+
     def test_changed_config_recomputes_cached_cells(self, tmp_path):
         first = write_config(tmp_path / "a.json", sweep_L=[4, 16], sweep_m=24,
                              surrogate_target=0.4)

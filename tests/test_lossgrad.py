@@ -6,12 +6,17 @@ import pytest
 from reslab import lossgrad, model, numkit
 from reslab.lossgrad import (batch_loss_grad, batch_output_grad, finite_diff_oracle,
                              output_gradient, perturbation_flips, xent, xent_deriv)
-from reslab.model import forward, forward_batch, init_gaussian
+from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
 
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def forward(p, x):
+    """One-row trace of a single input."""
+    return forward_batch(p, x[None, :])
 
 
 def net(seed=0, d=4, L=6, m=16, m_last=16, arch="residual"):
@@ -101,7 +106,7 @@ class TestOutputGradient:
 
         def f_along(tval):
             moved = p.with_weights(w + tval * d for w, d in zip(p.weights, direction))
-            return forward(moved, x).output
+            return float(forward(moved, x).outputs[0])
 
         base = forward(p, x)
         errs = []
@@ -156,7 +161,7 @@ class TestOutputGradient:
         masked = lossgrad._backward_rows(p, bt)[0]
         for l in range(1, p.depth + 2):
             g = output_gradient(p, t, l)
-            a = t.activation(l - 1)
+            a = t.activations[l - 1][0]
             b = masked[l][0] * p.layer_scale(l)
             assert np.linalg.norm(g) == pytest.approx(
                 np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
@@ -182,7 +187,7 @@ class TestBatchLossGrad:
         xs, ys = self.make_data(p, 1, seed=20)
         loss, surr, grads = batch_loss_grad(p, (xs, ys))
         t = forward(p, xs[0])
-        c = xent_deriv(ys[0] * t.output) * ys[0]
+        c = xent_deriv(ys[0] * t.outputs[0]) * ys[0]
         for l in range(1, p.depth + 2):
             np.testing.assert_allclose(grads.layers[l - 1],
                                        c * output_gradient(p, t, l), rtol=1e-12)
@@ -194,7 +199,7 @@ class TestBatchLossGrad:
         manual = [np.zeros_like(w) for w in p.weights]
         for i in range(8):
             t = forward(p, xs[i])
-            c = xent_deriv(ys[i] * t.output) * ys[i] / 8
+            c = xent_deriv(ys[i] * t.outputs[0]) * ys[i] / 8
             for l in range(1, p.depth + 2):
                 manual[l - 1] += c * output_gradient(p, t, l)
         for a, b in zip(manual, grads.layers):

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from reslab import model, numkit
-from reslab.model import (InterlayerOp, forward, forward_batch, init_gaussian,
-                          interlayer_apply, interlayer_norm, interlayer_norms,
-                          load_checkpoint, output_vector, save_checkpoint)
+from reslab.model import (forward_batch, init_gaussian, interlayer_apply,
+                          interlayer_norms, load_checkpoint, output_vector,
+                          save_checkpoint)
 from reslab.numkit import RngState
 
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def forward(p, x):
+    """One-row trace of a single input."""
+    return forward_batch(p, np.asarray(x)[None, :])
 
 
 def small_net(seed=0, d=4, L=3, m=8, m_last=8, theta=None, arch="residual"):
@@ -66,9 +71,9 @@ class TestForward:
         p = small_net()
         p = p.with_weights(np.zeros_like(w) for w in p.weights)
         t = forward(p, unit(np.ones(4)))
-        assert t.output == 0.0
+        assert t.outputs[0] == 0.0
         for l in range(1, p.depth + 2):
-            assert np.all(t.activation(l) == 0.0)
+            assert np.all(t.activations[l] == 0.0)
 
     def test_hand_computed_example(self):
         # d=2, L=2, identity weights, theta=0.5, x=(1,0):
@@ -77,10 +82,10 @@ class TestForward:
         p = model.NetworkParams((eye, eye.copy(), eye.copy()), 0.5,
                                 output_vector(2), "residual")
         t = forward(p, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(t.activation(1), [1.0, 0.0])
-        np.testing.assert_allclose(t.activation(2), [1.5, 0.0])
-        np.testing.assert_allclose(t.activation(3), [1.5, 0.0])
-        assert t.output == pytest.approx(1.5)
+        np.testing.assert_allclose(t.activations[1][0], [1.0, 0.0])
+        np.testing.assert_allclose(t.activations[2][0], [1.5, 0.0])
+        np.testing.assert_allclose(t.activations[3][0], [1.5, 0.0])
+        assert t.outputs[0] == pytest.approx(1.5)
 
     def test_rejects_off_sphere_input(self):
         p = small_net()
@@ -103,15 +108,15 @@ class TestForward:
         h = x
         for l in range(1, p.depth + 2):
             pre = h @ p.weights[l - 1]
-            np.testing.assert_array_equal(t.pattern(l), pre > 0)
+            np.testing.assert_array_equal(t.pattern(l)[0], pre > 0)
             inc = np.maximum(pre, 0.0)
             h = h + p.theta * inc if (2 <= l <= p.depth) else inc
 
     def test_sign_flip_disjoint_first_layer_patterns(self):
         p = small_net(seed=2)
         x = unit(RngState(3).standard_normal(4))
-        pa = forward(p, x).pattern(1)
-        pb = forward(p, -x).pattern(1)
+        pa = forward(p, x).pattern(1)[0]
+        pb = forward(p, -x).pattern(1)[0]
         assert not np.any(pa & pb)
 
     def test_batch_matches_single(self):
@@ -121,9 +126,9 @@ class TestForward:
         bt = forward_batch(p, xs)
         for i in range(6):
             t = forward(p, xs[i])
-            assert t.output == pytest.approx(float(bt.outputs[i]), abs=1e-12)
+            assert t.outputs[0] == pytest.approx(float(bt.outputs[i]), abs=1e-12)
             for l in range(1, p.depth + 2):
-                np.testing.assert_array_equal(t.pattern(l), bt.pattern(l)[i])
+                np.testing.assert_array_equal(t.pattern(l)[0], bt.pattern(l)[i])
 
     def test_plain_forward_has_no_skip(self):
         p = small_net(seed=6, arch="plain")
@@ -132,16 +137,16 @@ class TestForward:
         h = x
         for l in range(1, p.depth + 2):
             h = np.maximum(h @ p.weights[l - 1], 0.0)
-            np.testing.assert_allclose(t.activation(l), h)
+            np.testing.assert_allclose(t.activations[l][0], h)
 
     def test_residual_coordinates_never_shrink_below_first_layer(self):
         # skip increments are nonnegative, so x_{l,j} >= x_{1,j} on layers 2..L
         p = small_net(seed=8, L=5, m=16, m_last=16)
         x = unit(RngState(9).standard_normal(4))
         t = forward(p, x)
-        x1 = t.activation(1)
+        x1 = t.activations[1]
         for l in range(2, p.depth + 1):
-            assert np.all(t.activation(l) >= x1 - 1e-15)
+            assert np.all(t.activations[l] >= x1 - 1e-15)
 
     def test_residual_theta_zero_matches_two_layer_pipeline(self):
         # with theta -> 0 the middle layers pass through; output equals the
@@ -151,7 +156,7 @@ class TestForward:
         t = forward(p, x)
         x1 = np.maximum(x @ p.weights[0], 0.0)
         out = np.maximum(x1 @ p.weights[-1], 0.0) @ p.v
-        assert t.output == pytest.approx(float(out), abs=1e-12)
+        assert t.outputs[0] == pytest.approx(float(out), abs=1e-12)
 
 
     def test_relu_matches_where_formula_bit_for_bit(self):
@@ -183,8 +188,7 @@ class TestInterlayer:
         p = small_net()
         t = forward(p, unit(np.ones(4)))
         a = RngState(0).standard_normal(8)
-        op = InterlayerOp(t, 3, 2)
-        np.testing.assert_array_equal(interlayer_apply(op, a), a)
+        np.testing.assert_array_equal(interlayer_apply(t, 0, 3, 2, a), a)
 
     def test_output_identity_at_every_split(self):
         for arch in ("residual", "plain"):
@@ -192,26 +196,25 @@ class TestInterlayer:
             x = unit(RngState(13).standard_normal(4))
             t = forward(p, x)
             for l in range(0, p.depth + 2):
-                assert model.output_via_interlayer(t, l) == pytest.approx(
-                    t.output, abs=1e-10)
+                # vᵀ H_{l+1}^{L+1} x_l
+                out = p.v @ interlayer_apply(t, 0, l + 1, p.depth + 1, t.activations[l][0])
+                assert float(out) == pytest.approx(t.outputs[0], abs=1e-10)
 
     def test_theta_zero_middle_product_is_identity(self):
         p = small_net(seed=14, theta=0.0)
         t = forward(p, unit(RngState(15).standard_normal(4)))
-        op = InterlayerOp(t, 2, p.depth)
         a = RngState(16).standard_normal(8)
-        np.testing.assert_array_equal(interlayer_apply(op, a), a)
-        assert interlayer_norm(op) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(interlayer_apply(t, 0, 2, p.depth, a), a)
+        assert interlayer_norms(t, 0, [(2, p.depth)])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_matches_dense_oracle(self):
         p = small_net(seed=20, L=4, m=24, m_last=24)
         t = forward(p, unit(RngState(21).standard_normal(4)))
         for (l, lp) in ((2, 4), (1, 5), (2, 5)):
-            op = InterlayerOp(t, l, lp)
-            dense = np.column_stack([interlayer_apply(op, e)
-                                     for e in np.eye(op.in_dim)])
+            dense = np.column_stack([interlayer_apply(t, 0, l, lp, e)
+                                     for e in np.eye(p.dim_at(l - 1))])
             oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
-            assert interlayer_norm(op) == pytest.approx(
+            assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(
                 oracle, rel=1e-8)
 
     @staticmethod
@@ -219,7 +222,7 @@ class TestInterlayer:
         """H_l^{l'} multiplied out from the weights and the trace's patterns."""
         h = np.eye(p.dim_at(l - 1))
         for r in range(l, lp + 1):
-            f = t.pattern(r)[:, None] * p.weights[r - 1].T
+            f = t.pattern(r)[0][:, None] * p.weights[r - 1].T
             if p.arch == "residual" and 2 <= r <= p.depth:
                 f = np.eye(f.shape[0]) + p.theta * f
             h = f @ h
@@ -232,15 +235,14 @@ class TestInterlayer:
             t = forward(p, unit(RngState(31).standard_normal(4)))
             for (l, lp) in ((1, L), (2, L + 1), (1, L + 1), (2, L), (3, 3),
                             (L + 1, L + 1), (3, 2), (L + 2, L + 1)):
-                op = InterlayerOp(t, l, lp)
                 dense = self.dense_h(p, t, l, lp)
-                a = RngState(32).standard_normal(op.in_dim)
-                np.testing.assert_allclose(interlayer_apply(op, a), dense @ a,
+                a = RngState(32).standard_normal(p.dim_at(l - 1))
+                np.testing.assert_allclose(interlayer_apply(t, 0, l, lp, a), dense @ a,
                                            rtol=1e-12, atol=1e-14)
                 oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
                 if l > lp:
                     assert oracle == 1.0
-                assert interlayer_norm(op) == pytest.approx(oracle, rel=1e-10)
+                assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_chained_norms_match_each_pair_bit_for_bit(self):
         # one chain per start layer must give the bits of forming each pair's
@@ -248,7 +250,7 @@ class TestInterlayer:
         def formed(p, t, l, lp):
             h = np.eye(p.dim_at(l - 1))
             for r in range(l, lp + 1):
-                masked = t.pattern(r)[:, None] * (p.weights[r - 1].T @ h)
+                masked = t.pattern(r)[0][:, None] * (p.weights[r - 1].T @ h)
                 mid = p.arch == "residual" and 2 <= r <= p.depth
                 h = h + p.theta * masked if mid else masked
             return numkit.spectral_norm(h)
@@ -259,10 +261,10 @@ class TestInterlayer:
         for arch in ("residual", "plain"):
             p = small_net(seed=40, d=4, L=L, m=16, m_last=12, theta=0.3 / L, arch=arch)
             t = forward(p, unit(RngState(41).standard_normal(4)))
-            chained = interlayer_norms(t, pairs)
+            chained = interlayer_norms(t, 0, pairs)
             assert len(chained) == len(pairs)
             for (l, lp), hn in zip(pairs, chained):
-                assert hn.hex() == interlayer_norm(InterlayerOp(t, l, lp)).hex()
+                assert hn.hex() == interlayer_norms(t, 0, [(l, lp)])[0].hex()
                 assert hn.hex() == formed(p, t, l, lp).hex()
 
     def test_chain_forms_each_start_layer_once(self, monkeypatch):
@@ -277,7 +279,7 @@ class TestInterlayer:
         L = 6
         p = small_net(seed=42, L=L, m=16, m_last=16)
         t = forward(p, unit(RngState(43).standard_normal(4)))
-        interlayer_norms(t, [(2, L), (1, L), (2, 3), (3, 4), (2, L + 1), (3, L), (5, 4)])
+        interlayer_norms(t, 0, [(2, L), (1, L), (2, 3), (3, 4), (2, L + 1), (3, L), (5, 4)])
         # start 2 runs to L+1, start 1 to L, start 3 to L; (5, 4) is empty
         assert sorted(calls) == sorted([*range(2, L + 2), *range(1, L + 1),
                                         *range(3, L + 1)])
@@ -286,26 +288,25 @@ class TestInterlayer:
         p = small_net()
         t = forward(p, unit(np.ones(4)))
         with pytest.raises(model.ShapeError):
-            interlayer_norms(t, [(2, 3), (0, 2)])
+            interlayer_norms(t, 0, [(2, 3), (0, 2)])
 
     def test_submultiplicative_sanity(self):
         p = small_net(seed=22, L=6, m=16, m_last=16)
         t = forward(p, unit(RngState(23).standard_normal(4)))
-        op = InterlayerOp(t, 2, p.depth)
         cap = 1.0
         for l in range(2, p.depth + 1):
             cap *= 1.0 + p.theta * numkit.spectral_norm(p.weights[l - 1])
-        assert interlayer_norm(op) <= cap + 1e-9
+        assert interlayer_norms(t, 0, [(2, p.depth)])[0] <= cap + 1e-9
 
     def test_range_validation(self):
         p = small_net()
         t = forward(p, unit(np.ones(4)))
         with pytest.raises(model.ShapeError):
-            InterlayerOp(t, 0, 2)
+            interlayer_apply(t, 0, 0, 2, np.ones(4))
         with pytest.raises(model.ShapeError):
-            InterlayerOp(t, 2, p.depth + 2)
+            interlayer_apply(t, 0, 2, p.depth + 2, np.ones(8))
         with pytest.raises(model.ShapeError):
-            interlayer_apply(InterlayerOp(t, 2, 3), np.ones(5))
+            interlayer_apply(t, 0, 2, 3, np.ones(5))
 
     def test_patterns_frozen_not_recomputed(self):
         # applying to a vector far from the trace input must reuse the
@@ -313,10 +314,9 @@ class TestInterlayer:
         p = small_net(seed=24)
         x = unit(RngState(25).standard_normal(4))
         t = forward(p, x)
-        op = InterlayerOp(t, 2, 2)
         a = RngState(26).standard_normal(8) * 100.0
-        expected = a + p.theta * (t.pattern(2) * (p.weights[1].T @ a))
-        np.testing.assert_allclose(interlayer_apply(op, a), expected, rtol=1e-12)
+        expected = a + p.theta * (t.pattern(2)[0] * (p.weights[1].T @ a))
+        np.testing.assert_allclose(interlayer_apply(t, 0, 2, 2, a), expected, rtol=1e-12)
 
 
 class TestCheckpoint:

@@ -131,6 +131,40 @@ class TestActivationNormProbe:
             [1, 4], [2, 3], [2, 4], [2, 5], [3, 4], [4, 4]]
         assert len(calls) == 2 * 11
 
+    def test_batched_norms_match_one_row_passes(self, toy, monkeypatch):
+        # interlayer norms read only the patterns and the weights, so the
+        # rows of one batched trace give the bits of one-row passes: the
+        # probe's hnorm rows, and sweep_cell's h2l at init and trained
+        rng, _, ds, _ = toy
+
+        def one_row_norms(net, x, pairs):
+            return model.interlayer_norms(forward_batch(net, x[None, :]), 0, pairs)
+
+        trained = []
+        train = trainer.train
+        monkeypatch.setattr(trainer, "train",
+                            lambda *a: trained.append(train(*a)) or trained[-1])
+        L = 4
+        pairs = probes._default_layer_pairs(L)
+        for arch in ("residual", "plain"):
+            params = init_gaussian(rng.substream(f"batch/{arch}"), 6, L, 48, 48,
+                                   0.1 / L, arch)
+            xs = sphere(rng.substream(f"xb/{arch}"), 6, params.d)
+            rep = probes.probe_activation_norms(params, xs, h_inputs=6)
+            hnorms = [r[3] for r in rep.details if r[0] == "hnorm"]
+            expected = [hn for x in xs for hn in one_row_norms(params, x, pairs)]
+            assert [h.hex() for h in hnorms] == [h.hex() for h in expected]
+
+            cell_rng = rng.substream(f"cell/{arch}")
+            row = probes.sweep_cell(cell_rng, arch, L, ds, 6, 48, 48, steps_budget=5,
+                                    surrogate_target=0.01, probe_inputs=ds.xs[:3])
+            init = init_gaussian(cell_rng.substream(f"init/{arch}/{L}"), 6, L, 48, 48,
+                                 0.1 / L, arch)
+            assert trained[-1].steps_run == 5
+            for key, net in (("h2l_init", init), ("h2l_final", trained[-1].params)):
+                one_row = max(one_row_norms(net, x, [(2, L)])[0] for x in ds.xs[:3])
+                assert row[key].hex() == one_row.hex(), (arch, key)
+
     def test_rejects_off_sphere_inputs(self, toy):
         _, _, _, params = toy
         with pytest.raises(ValueError):
@@ -349,10 +383,10 @@ class TestSparseOutput:
     def test_zero_direction_maps_to_zero(self, toy):
         rng, _, _, params = toy
         a = np.zeros(params.m)
-        from reslab.model import InterlayerOp, forward, interlayer_apply
+        from reslab.model import forward_batch, interlayer_apply
         x = sphere(rng.substream("xsp"), 1, params.d)[0]
-        tr = forward(params, x)
-        out = interlayer_apply(InterlayerOp(tr, 2, params.depth + 1), a)
+        tr = forward_batch(params, x[None, :])
+        out = interlayer_apply(tr, 0, 2, params.depth + 1, a)
         assert float(params.v @ out) == 0.0
 
     def test_grows_with_sparsity(self, toy):

@@ -7,8 +7,8 @@ from reslab import lossgrad, numkit, trainer
 from reslab.data import make_teacher, sample_dataset
 from reslab.model import init_gaussian
 from reslab.numkit import RngState
-from reslab.trainer import (TRAJECTORY_COLUMNS, TrainConfig, gd_step, step_distance,
-                            train, write_summary_json, write_trajectory_csv)
+from reslab.trainer import (TRAJECTORY_COLUMNS, TrainConfig, step_distance, train,
+                            write_summary_json, write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ class TestStepDistance:
         params, ds = small_problem
         eta = 0.05
         _, _, grads = lossgrad.batch_loss_grad(params, ds)
-        new_params, _ = gd_step(params, ds, eta)
+        new_params = train(params, ds, TrainConfig(eta, steps=1)).params
         manual = 0.0
         for l in range(1, params.depth + 2):
             manual += params.layer_scale(l) * numkit.spectral_norm(
@@ -53,28 +53,23 @@ class TestStepDistance:
 
 
 class TestGdStep:
+    """One gradient-descent step: ``train`` with a budget of one step."""
+
     def test_exact_update_rule(self, small_problem):
         params, ds = small_problem
         eta = 0.07
         _, _, grads = lossgrad.batch_loss_grad(params, ds)
-        new_params, _ = gd_step(params, ds, eta)
+        new_params = train(params, ds, TrainConfig(eta, steps=1)).params
         for w_new, w_old, g in zip(new_params.weights, params.weights, grads.layers):
             np.testing.assert_allclose(w_new + eta * g, w_old, atol=1e-15)
-
-    def test_zero_eta_is_identity(self, small_problem):
-        params, ds = small_problem
-        new_params, rec = gd_step(params, ds, 0.0)
-        for a, b in zip(new_params.weights, params.weights):
-            assert a.tobytes() == b.tobytes()
-        assert max(rec.dist_init) == 0.0
 
     def test_dead_network_is_fixed_point(self, small_problem):
         params, ds = small_problem
         dead = params.with_weights(-np.abs(w) for w in params.weights)
-        new_params, rec = gd_step(dead, ds, 0.5)
-        for a, b in zip(new_params.weights, dead.weights):
+        res = train(dead, ds, TrainConfig(0.5, steps=1))
+        for a, b in zip(res.params.weights, dead.weights):
             assert a.tobytes() == b.tobytes()
-        assert all(g == 0.0 for g in rec.grad_frob)
+        assert all(g == 0.0 for g in res.records[0].grad_frob)
 
     def test_descent_from_smooth_region(self):
         # one step decreases the loss for each seed (smooth region at init)
@@ -84,7 +79,7 @@ class TestGdStep:
             ds = sample_dataset(teacher, rng.substream("d"), 30, pilot_draws=2000)
             params = init_gaussian(rng.substream("i"), 6, 3, 64, 64, 0.1 / 3)
             loss0, _, _ = lossgrad.batch_loss_grad(params, ds)
-            stepped, _ = gd_step(params, ds, 1.0 / 64)
+            stepped = train(params, ds, TrainConfig(1.0 / 64, steps=1)).params
             loss1, _, _ = lossgrad.batch_loss_grad(stepped, ds)
             assert loss1.total < loss0.total
 
