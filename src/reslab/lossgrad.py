@@ -9,10 +9,10 @@ so batch gradients are sums of rank-one terms, accumulated here by a single
 matmul per layer in fixed sample order.  Each masked backward row block
 g_l ⊙ sigma_l is formed once and serves both the backward recursion and
 the layer gradient.  Only the dense layer gradients are kept, not their
-factors; the spectral norms behind ``h_k`` are taken on them, exactly, by
-``numkit.lanczos_spectral_norm``.  A central finite-difference oracle
-(with a pattern-flip detector, since the output is only piecewise linear in
-each weight) provides the independent check.
+factors; the spectral norms behind ``h_k`` are taken on them by the lab's
+one spectral-norm routine, ``numkit.spectral_norm``.  A central
+finite-difference oracle (with a pattern-flip detector, since the output is
+only piecewise linear in each weight) provides the independent check.
 """
 
 from __future__ import annotations
@@ -68,12 +68,14 @@ class GradientSet:
         return tuple(numkit.frobenius_norm(g) for g in self.layers)
 
     def spectral_norms(self) -> tuple:
-        """Per-layer spectral norms, exact to rounding (the ``h_k`` terms).
+        """Per-layer spectral norms (the ``h_k`` terms), from
+        ``numkit.spectral_norm``: exact to rounding unless a layer's top
+        singular values cluster.
 
         The only place ``h_k``'s norms are taken, so that timing this
         method accounts for all of their cost.
         """
-        return tuple(numkit.lanczos_spectral_norm(g) for g in self.layers)
+        return tuple(numkit.spectral_norm(g) for g in self.layers)
 
 
 def _backward_rows(params: NetworkParams, bt: BatchTrace) -> tuple:

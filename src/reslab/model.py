@@ -173,6 +173,8 @@ class BatchTrace:
         return self.outputs.shape[0]
 
     def pattern(self, l: int) -> np.ndarray:
+        if not 1 <= l <= len(self.patterns):
+            raise ShapeError(f"layer {l} out of range 1..{len(self.patterns)}")
         return self.patterns[l - 1]
 
 
@@ -237,11 +239,11 @@ def interlayer_apply(trace: BatchTrace, row: int, l: int, lp: int,
 
 def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
     """Spectral norms of H_l^{l'} (see ``interlayer_apply``) at ``trace``'s
-    row ``row``, for each (l, l') in ``pairs``, in order, exact to rounding.
+    row ``row``, for each (l, l') in ``pairs``, in order.
 
     Each start layer's operator is formed once, from the identity, applying
     each factor to every column at once; its top singular value is taken
-    from ``numkit.spectral_norm`` at every requested end on the way, so
+    by ``numkit.spectral_norm`` at every requested end on the way, so
     pairs that share a start layer share their prefix product.  One
     operator is held at a time.  An empty range (l > l') is the identity.
     """

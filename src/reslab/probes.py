@@ -340,12 +340,13 @@ def _linearization_terms(ref: NetworkParams, bt, masked, deltas) -> np.ndarray:
     return total
 
 
-def flip_targeted_draw(ball: PerturbationBall, x) -> NetworkParams:
+def flip_targeted_draw(ball: PerturbationBall, x, g) -> NetworkParams:
     """The ball's center moved by a layer-1 step aimed at ReLU kinks at ``x``.
 
     The step is rank one, d_1 = x uᵀ with ||u|| = tau, so it sits on the
-    ball's boundary.  With a = W_1ᵀx the layer-1 pre-activations and g the
-    output sensitivity vᵀ H_2^{L+1} at the center, u is water-filled against
+    ball's boundary.  With a = W_1ᵀx the layer-1 pre-activations and ``g``
+    the output sensitivity vᵀ H_2^{L+1} at the center and ``x`` (the
+    unmasked g_1 of ``lossgrad._backward_rows``), u is water-filled against
     g: |u_j| = c g_j on units with g_j > 0 and c g_j > |a_j|, zero
     elsewhere, with sign -sign(a_j) so that every chosen unit crosses its
     kink (ties at a_j = 0 count as inactive and are pushed up).  Units are
@@ -358,7 +359,6 @@ def flip_targeted_draw(ball: PerturbationBall, x) -> NetworkParams:
     """
     center = ball.center
     x = np.asarray(x, dtype=np.float64)
-    g = lossgrad._backward_rows(center, forward_batch(center, x[None, :]))[1][0]
     a = x @ center.weights[0]
     push = np.where(a > 0.0, -1.0, 1.0)
     up = np.flatnonzero(g > 0.0)
@@ -378,63 +378,61 @@ def flip_targeted_draw(ball: PerturbationBall, x) -> NetworkParams:
 
 
 def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
-                         tau=0.1, draws=50, dataset=None,
-                         pairs: str = "center") -> ProbeReport:
+                         tau=0.1, draws=50, dataset=None) -> ProbeReport:
     """Taylor residual of the output against the semismoothness basis.
 
     Each trial evaluates R = f_a(x) - f_b(x) - sum_l tr[(Wa_l - Wb_l)ᵀ
-    grad f_b(x)] at one input and fits R against
-    tau^(1/3) sqrt(m log m) h + sqrt(m) h²  with h the spectral step
-    distance; the fitted constant is the signed max of R / basis over every
-    trial.  Two kinds of pair enter the fit:
+    grad f_b(x)] at one input, expanding around the initialization (Wb =
+    ``params``, the configuration the complexity argument instantiates),
+    and fits R against  tau^(1/3) sqrt(m log m) h + sqrt(m) h²  with h the
+    spectral step distance; the fitted constant is the signed max of
+    R / basis over every trial.  Two kinds of pair enter the fit:
 
-    * ``random``: ``draws`` boundary-biased ball draws, cycling through
-      ``inputs``.  ``pairs="center"`` expands around the initialization
-      (Wb fixed to ``params``, the configuration the complexity argument
-      instantiates); ``pairs="independent"`` draws both endpoints from the
-      ball, which also stresses small-h pairs.
-    * ``targeted``: one pair per input the random trials visit, Wb =
-      ``params`` and Wa = ``flip_targeted_draw`` at that input, which
-      pushes layer-1 units across their kinks where the output is most
-      sensitive.  A random Frobenius direction spreads its budget over
-      every entry and rarely flips a unit, so random draws alone sit far
-      below the sup over the ball that the bound covers.
+    * ``random``: ``draws`` boundary-biased ball draws Wa, cycling through
+      ``inputs``.
+    * ``targeted``: one pair per input the random trials visit, Wa =
+      ``flip_targeted_draw`` at that input, which pushes layer-1 units
+      across their kinks where the output is most sensitive.  A random
+      Frobenius direction spreads its budget over every entry and rarely
+      flips a unit, so random draws alone sit far below the sup over the
+      ball that the bound covers.
 
-    With a dataset, the loss-level residual is additionally fitted against
-    the surrogate-weighted variant with an m h² second term.  That needs
-    the loss gradient only at Wb: with ``pairs="center"`` it is one
-    ``batch_output_grad``, at ``params``, and each Wa costs only a forward
-    pass and ``lossgrad.loss_from_trace``.  Each details row records the
-    pair kind and the layer-1 units flipped at its input.  A coincident-pair
-    control asserts R == 0 exactly.
+    The center's one-row forward trace and backward rows are formed once
+    per input and serve both kinds of trial.  With a dataset, the
+    loss-level residual is additionally fitted against the
+    surrogate-weighted variant with an m h² second term.  That needs the
+    loss gradient only at the center, one ``batch_output_grad``; each Wa
+    costs only a forward pass and ``lossgrad.loss_from_trace``.  Each
+    details row records the pair kind and the layer-1 units flipped at its
+    input.  A coincident-pair control asserts R == 0 exactly.
     """
-    if pairs not in ("center", "independent"):
-        raise ValueError(f"unknown pair scheme {pairs!r}")
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     m = params.m
     ball = PerturbationBall(params, tau, rng.substream("ball"))
     coef_h = tau ** (1.0 / 3.0) * math.sqrt(m * math.log(m))
     if dataset is not None:
         ys = np.asarray(dataset.ys, dtype=np.float64)
-        at_center = lossgrad.loss_grad_from_trace(
+        lb, sb, gb = lossgrad.loss_grad_from_trace(
             params, forward_batch(params, dataset.xs), ys)
+    # one-row passes, not one batched pass: a gemm may round unlike a gemv
+    centers = []
+    for x in xs[:draws]:
+        bt = forward_batch(params, x[None, :])
+        centers.append((bt, *lossgrad._backward_rows(params, bt)))
     rows = []
 
-    def trial(kind, wa, wb, x):
-        h = trainer.step_distance(wa, wb)
-        deltas = [a - b for a, b in zip(wa.weights, wb.weights)]
-        bta = forward_batch(wa, x[None, :])
-        btb = forward_batch(wb, x[None, :])
-        lin = _linearization_terms(wb, btb, lossgrad._backward_rows(wb, btb)[0],
-                                   deltas)
+    def trial(kind, wa, i):
+        btb, masked, _ = centers[i]
+        h = trainer.step_distance(wa, params)
+        deltas = [a - b for a, b in zip(wa.weights, params.weights)]
+        bta = forward_batch(wa, xs[i][None, :])
+        lin = _linearization_terms(params, btb, masked, deltas)
         resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
         flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
         basis_f = coef_h * h + math.sqrt(m) * h * h
         loss_ratio = float("nan")
         if dataset is not None:
             la = lossgrad.loss_from_trace(forward_batch(wa, dataset.xs), ys)
-            lb, sb, gb = at_center if wb is params else lossgrad.loss_grad_from_trace(
-                wb, forward_batch(wb, dataset.xs), ys)
             lin_loss = sum(float(np.sum(d * g))
                            for d, g in zip(deltas, gb.layers))
             r_loss = la.total - lb.total - lin_loss
@@ -444,11 +442,9 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
         rows.append([len(rows), kind, flips, h, resid, basis_f, loss_ratio])
 
     for t in range(draws):
-        wa = ball.draw()
-        wb = ball.draw() if pairs == "independent" else params
-        trial("random", wa, wb, xs[t % xs.shape[0]])
-    for x in xs[:draws]:
-        trial("targeted", flip_targeted_draw(ball, x), params, x)
+        trial("random", ball.draw(), t % xs.shape[0])
+    for i, (_, _, g) in enumerate(centers):
+        trial("targeted", flip_targeted_draw(ball, xs[i], g[0]), i)
 
     ratios_f = [r[4] / r[5] for r in rows if r[5] > 0]
     ratios_loss = [r[6] for r in rows if not math.isnan(r[6])]
@@ -474,7 +470,7 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
         trials=len(rows),
         verdict=_verdict(ok),
         config={"tau": tau, "draws": draws, "m": m, "L": params.depth,
-                "with_loss": dataset is not None, "pairs": pairs},
+                "with_loss": dataset is not None, "pairs": "center"},
         detail_columns=["trial", "pair", "flips_l1", "h", "residual", "basis_f",
                         "loss_ratio"],
         details=rows,
@@ -571,19 +567,16 @@ def last_layer_column_sets(params_init: NetworkParams, params_cur: NetworkParams
 # ---------------------------------------------------------------------------
 
 def separability_direction(teacher: Teacher, params: NetworkParams,
-                           method: str = "kernel", power: float = 3.0) -> np.ndarray:
+                           power: float = 3.0) -> np.ndarray:
     """Unit direction built from teacher coefficients at scaled first-layer rows.
 
     Each first-layer column w_{1,j}, rescaled by sqrt(m_1/2) to unit-Gaussian
-    calibration, gets a coefficient from a measurable |c| <= 1 extension of
-    the teacher's discrete ±1 coefficients:
-
-    - ``kernel``: c(u) = clip(sum_k c_k cos_+(u, u_k)^power, ±1), a smooth
-      feature-similarity vote (the default; empirically it preserves the
-      teacher's margin structure far better than a hard assignment), or
-    - ``nearest``: c(u) = c of the nearest feature by cosine similarity.
-
-    The resulting vector is normalized to the unit sphere.
+    calibration, gets the coefficient c(u) = clip(sum_k c_k cos_+(u, u_k)^power,
+    ±1), a measurable |c| <= 1 extension of the teacher's discrete ±1
+    coefficients by a smooth feature-similarity vote (empirically it
+    preserves the teacher's margin structure far better than a hard
+    nearest-feature assignment).  The resulting vector is normalized to the
+    unit sphere.
     """
     m1 = params.widths[0]
     u = math.sqrt(m1 / 2.0) * params.weights[0].T      # (m_1, d) calibrated rows
@@ -591,18 +584,13 @@ def separability_direction(teacher: Teacher, params: NetworkParams,
     t_norm = teacher.directions / np.maximum(
         np.linalg.norm(teacher.directions, axis=1, keepdims=True), 1e-300)
     cos = u_norm @ t_norm.T
-    if method == "nearest":
-        alpha = teacher.coeffs[np.argmax(cos, axis=1)]
-    elif method == "kernel":
-        alpha = np.clip(np.maximum(cos, 0.0) ** power @ teacher.coeffs, -1.0, 1.0)
-    else:
-        raise ValueError(f"unknown coefficient extension {method!r}")
+    alpha = np.clip(np.maximum(cos, 0.0) ** power @ teacher.coeffs, -1.0, 1.0)
     return alpha / np.linalg.norm(alpha)
 
 
 def probe_separability(teacher: Teacher, params: NetworkParams,
                        dataset, rng: RngState, margin_floor=None,
-                       method: str = "kernel", power: float = 3.0) -> ProbeReport:
+                       power: float = 3.0) -> ProbeReport:
     """Layerwise margins of the constructed direction versus a random control.
 
     Requires freshly initialized params (the construction reads W_1 at
@@ -613,7 +601,7 @@ def probe_separability(teacher: Teacher, params: NetworkParams,
     gamma = teacher.gamma
     if margin_floor is None:
         margin_floor = gamma / 4.0
-    alpha = separability_direction(teacher, params, method=method, power=power)
+    alpha = separability_direction(teacher, params, power=power)
     control = rng.standard_normal(alpha.shape[0])
     control /= np.linalg.norm(control)
     bt = forward_batch(params, dataset.xs)
@@ -639,7 +627,7 @@ def probe_separability(teacher: Teacher, params: NetworkParams,
         trials=params.depth,
         verdict=_verdict(ok),
         config={"gamma": gamma, "margin_floor": margin_floor, "m": params.m,
-                "L": params.depth, "theta": params.theta, "method": method,
+                "L": params.depth, "theta": params.theta, "method": "kernel",
                 "power": power},
         detail_columns=["layer", "margin", "control_margin"],
         details=rows,
@@ -752,15 +740,16 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
 
 def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
     """Loss and output magnitude at initialization against sqrt(log n)."""
-    loss, surrogate, _ = lossgrad.batch_loss_grad(params, dataset)
     bt = forward_batch(params, dataset.xs)
-    max_out = float(np.max(np.abs(bt.outputs)))
+    loss = lossgrad.loss_from_trace(bt, dataset.ys)
     n = dataset.n
+    surrogate = float(-numkit.pairwise_sum(lossgrad.xent_deriv(dataset.ys * bt.outputs)) / n)
+    max_out = float(np.max(np.abs(bt.outputs)))
     basis = math.sqrt(math.log(max(n, 2)))
     fitted = max(loss.total, max_out) / basis
     return ProbeReport(
         name="loss_at_init",
-        measured={"loss": loss.total, "surrogate": surrogate.empirical,
+        measured={"loss": loss.total, "surrogate": surrogate,
                   "max_abs_output": max_out},
         bound_expr=fitted * basis,
         constant_fit=fitted,
@@ -768,7 +757,7 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
         verdict=_verdict(loss.total <= fitted * basis + 1e-9),
         config={"n": n, "m": params.m, "L": params.depth},
         detail_columns=["quantity", "value"],
-        details=[["loss", loss.total], ["surrogate", surrogate.empirical],
+        details=[["loss", loss.total], ["surrogate", surrogate],
                  ["max_abs_output", max_out]],
     )
 

@@ -112,6 +112,14 @@ class TestForward:
             inc = np.maximum(pre, 0.0)
             h = h + p.theta * inc if (2 <= l <= p.depth) else inc
 
+    def test_pattern_rejects_layers_outside_one_to_l_plus_one(self):
+        p = small_net(seed=5)
+        t = forward(p, unit(RngState(1).standard_normal(4)))
+        assert t.pattern(p.depth + 1) is t.patterns[-1]
+        for l in (0, -1, p.depth + 2):
+            with pytest.raises(model.ShapeError):
+                t.pattern(l)
+
     def test_sign_flip_disjoint_first_layer_patterns(self):
         p = small_net(seed=2)
         x = unit(RngState(3).standard_normal(4))

@@ -96,6 +96,40 @@ class TestSums:
 
 
 class TestSpectralNorm:
+    """``spectral_norm``: Golub-Kahan-Lanczos bidiagonalization."""
+
+    def cases(self):
+        rng = RngState(6)
+        A = rng.standard_normal((20, 50))
+        B = rng.standard_normal((20, 70))
+        # integer rows summing to zero, 64 columns: the all-ones start
+        # (entries 1/8) is mapped to an exact zero, a breakdown at the
+        # first step that only a restart gets past
+        dead_start = np.round(3.0 * rng.standard_normal((30, 64)))
+        dead_start[:, -1] -= dead_start.sum(axis=1)
+        return {
+            "rank-deficient AᵀB": A.T @ B,
+            "gaussian 256x256": rng.standard_normal((256, 256)) / 16.0,
+            "input layer 10x256": rng.standard_normal((10, 256)) / 16.0,
+            "rank one": np.outer(rng.standard_normal(30), rng.standard_normal(40)),
+            "ones in the null space": dead_start,
+        }
+
+    def assert_exact(self, est, g, name):
+        dense = float(np.linalg.svd(g, compute_uv=False)[0])
+        assert abs(est - dense) <= 1e-13 * dense, name
+        assert est <= dense * (1 + 1e-12), name
+
+    def clustered(self, seed, top):
+        """256x256 U diag(s) Vᵀ whose top singular values are ``top``, the
+        rest spread over [0.1, 1]."""
+        rng = RngState(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((256, 256)))
+        v, _ = np.linalg.qr(rng.standard_normal((256, 256)))
+        s = np.linspace(1.0, 0.1, 256)
+        s[:len(top)] = top
+        return (u * s) @ v.T
+
     def test_diagonal(self):
         assert numkit.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-10)
 
@@ -104,6 +138,13 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert numkit.spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_zero_matrix_is_zero_without_any_warning(self):
+        # a dead layer's gradient: nothing divides by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in ((256, 256), (10, 256)):
+                assert numkit.spectral_norm(np.zeros(shape)) == 0.0
 
     def test_matches_svd_oracle(self):
         for seed in range(3):
@@ -134,8 +175,8 @@ class TestSpectralNorm:
             assert numkit.spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
         # a rank-deficient gradient-shaped product (rank 20 of 50) and a
         # near-identity 256x256 matrix shaped like an interlayer operator,
-        # each also scaled far up and down: the Gram matrix of the raw
-        # 2^±600 matrix overflows or underflows
+        # each also scaled far up and down, where squared lengths of the
+        # raw 2^±600 matrix overflow or underflow
         aa = rng.standard_normal((20, 50))
         bb = rng.standard_normal((20, 70))
         near_eye = np.eye(256) + 0.05 * rng.standard_normal((256, 256)) / 16.0
@@ -148,13 +189,59 @@ class TestSpectralNorm:
 
     def test_within_rounding_of_svd_at_lab_shapes(self):
         # weight differences and interlayer operators (256x256), input-layer
-        # weights (10x256) and their transposes
+        # weights (10x256) and their transposes.  A stop at a Ritz move of
+        # 1e-13 left up to 2.2e-14 here, the stop at 1e-14 1.6e-15
         rng = RngState(8)
         for shape in ((256, 256), (10, 256), (256, 10)):
             for _ in range(3):
                 a = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
                 oracle = float(np.linalg.svd(a, compute_uv=False)[0])
-                assert abs(numkit.spectral_norm(a) - oracle) <= 1e-13 * oracle
+                assert abs(numkit.spectral_norm(a) - oracle) <= 1e-14 * oracle
+
+    def test_matches_lapack(self):
+        cases = self.cases()
+        # transposes, and the AᵀB case scaled where its squared lengths
+        # would overflow or underflow
+        cases.update({f"{name}, transposed": g.T for name, g in self.cases().items()})
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            cases[f"AᵀB * {scale:g}"] = cases["rank-deficient AᵀB"] * scale
+        # a few top values clustered within 1e-2 or 4e-4: the Ritz value
+        # still settles on the largest
+        for seed in (13, 14):
+            for k in (2, 3, 5):
+                for spread in (1e-2, 4e-4):
+                    cases[f"top {k} within {spread:g}, seed {seed}"] = self.clustered(
+                        seed, 2.0 - spread * np.linspace(0.0, 2.0, k))
+        for name, g in cases.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = numkit.spectral_norm(g)
+            self.assert_exact(est, g, name)
+
+    def test_inside_a_tight_top_cluster(self):
+        # where the top values cluster tightly the stop rule may fire on a
+        # Ritz value still inside the cluster: a lower estimate, never
+        # below the cluster's bottom value and never above the top one
+        for seed in (13, 14):
+            for k, spread in ((20, 1e-3), (20, 1e-5), (5, 1e-6), (2, 1e-8),
+                              (5, 1e-9), (20, 1e-10)):
+                a = self.clustered(seed, 2.0 - spread * np.linspace(0.0, 2.0, k))
+                dense = np.linalg.svd(a, compute_uv=False)
+                est = numkit.spectral_norm(a)
+                assert dense[k - 1] * (1 - 1e-14) <= est <= dense[0] * (1 + 1e-12), (
+                    seed, k, spread)
+
+    def test_restarts_past_an_invariant_start(self):
+        # ones/4 spans an exact invariant pair of singular value 1 (β = 0
+        # after one step), while the top value, 3, lies along e_1 - e_2
+        q = 16
+        d = np.zeros(q)
+        d[:2] = (1.0, -1.0)
+        g = np.full((q, q), 1.0 / q) + 1.5 * np.outer(d, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numkit.spectral_norm(g) == pytest.approx(3.0, rel=1e-14)
+        assert numkit.spectral_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-15)
 
     def test_spectral_at_most_frobenius(self):
         rng = RngState(4)
@@ -172,102 +259,36 @@ class TestSpectralNorm:
         with pytest.raises(numkit.EmptyShapeError):
             numkit.spectral_norm(np.zeros((0, 3)))
 
-
-class TestPowerSpectralNorm:
-    """The h_k solver, ``lanczos_spectral_norm`` (it replaced a power
-    iteration, hence the class name)."""
-
-    def cases(self):
-        rng = RngState(6)
-        A = rng.standard_normal((20, 50))
-        B = rng.standard_normal((20, 70))
-        # integer rows summing to zero, 64 columns: the all-ones start
-        # (entries 1/8) is mapped to an exact zero, a breakdown at the
-        # first step that only a restart gets past
-        dead_start = np.round(3.0 * rng.standard_normal((30, 64)))
-        dead_start[:, -1] -= dead_start.sum(axis=1)
-        return {
-            "rank-deficient AᵀB": A.T @ B,
-            "gaussian 256x256": rng.standard_normal((256, 256)) / 16.0,
-            "input layer 10x256": rng.standard_normal((10, 256)) / 16.0,
-            "rank one": np.outer(rng.standard_normal(30), rng.standard_normal(40)),
-            "ones in the null space": dead_start,
-        }
-
-    def assert_exact(self, est, g, name):
-        dense = float(np.linalg.svd(g, compute_uv=False)[0])
-        assert abs(est - dense) <= 1e-13 * dense, name
-        assert est <= dense * (1 + 1e-12), name
-
-    def test_matches_lapack_when_converged(self):
-        cases = self.cases()
-        # transposes, and the AᵀB case scaled where its squared lengths
-        # would overflow or underflow
-        cases.update({f"{name}, transposed": g.T for name, g in self.cases().items()})
-        for scale in (2.0 ** 600, 2.0 ** -600):
-            cases[f"AᵀB * {scale:g}"] = cases["rank-deficient AᵀB"] * scale
-        for name, g in cases.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                est = numkit.lanczos_spectral_norm(g)
-            self.assert_exact(est, g, name)
-
-    def test_restarts_past_an_invariant_start(self):
-        # ones/4 spans an exact invariant pair of singular value 1 (β = 0
-        # after one step), while the top value, 3, lies along e_1 - e_2
-        q = 16
-        d = np.zeros(q)
-        d[:2] = (1.0, -1.0)
-        g = np.full((q, q), 1.0 / q) + 1.5 * np.outer(d, d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert numkit.lanczos_spectral_norm(g) == pytest.approx(3.0, rel=1e-14)
-        assert numkit.lanczos_spectral_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-15)
-
-    def test_warns_with_the_shape_unless_converged(self):
-        g = self.cases()["rank-deficient AᵀB"]
-        with pytest.warns(RuntimeWarning, match=r"\(50, 70\) matrix"):
-            capped = numkit.lanczos_spectral_norm(g, max_steps=2)
-        dense = float(np.linalg.svd(g, compute_uv=False)[0])
-        assert capped <= dense * (1 + 1e-12)
-        # a cap at min(p, q) steps or above is never hit first: the value
-        # is exact there
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            g = self.cases()["input layer 10x256"]
-            for cap in (10, 11):
-                self.assert_exact(numkit.lanczos_spectral_norm(g, cap), g, cap)
-
-    def test_zero_matrix_is_zero_without_any_warning(self):
-        # a dead layer's gradient: nothing divides by 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert numkit.lanczos_spectral_norm(np.zeros((256, 256))) == 0.0
-            assert numkit.lanczos_spectral_norm(np.zeros((10, 256)), max_steps=1) == 0.0
-
     def test_rejects_bad_operands(self):
         with pytest.raises(numkit.EmptyShapeError):
-            numkit.lanczos_spectral_norm(np.zeros((0, 3)))
-        with pytest.raises(numkit.EmptyShapeError):
-            numkit.lanczos_spectral_norm(np.ones(3))
-        for bad in (np.inf, -np.inf, np.nan):
-            g = np.ones((3, 3))
-            g[1, 1] = bad
+            numkit.spectral_norm(np.ones(3))
+        for bad in (np.inf, -np.inf):
+            a = np.ones((3, 3))
+            a[1, 1] = bad
             with pytest.raises(numkit.NumericDomainError):
-                numkit.lanczos_spectral_norm(g)
-        with pytest.raises(ValueError):
-            numkit.lanczos_spectral_norm(np.ones((3, 3)), max_steps=0)
+                numkit.spectral_norm(a)
 
     def test_does_not_depend_on_thread_count(self):
-        # at 256x256 OpenBLAS runs gemv on every thread it is given
+        # at 256x256 OpenBLAS runs gemv on every thread it is given; the
+        # shapes are those every spectral norm in the lab takes: a Gaussian
+        # matrix, a rank-deficient layer gradient, a near-identity
+        # interlayer operator, a layer-1 operator (256x10) and the
+        # difference of two points of a Frobenius ball
         script = (
             "import reslab.cli\n"  # applies LAB_THREADS before numpy loads
             "import numpy as np\n"
             "from reslab import numkit\n"
             "rng = numkit.RngState(21)\n"
+            "w = rng.standard_normal((256, 256)) / 16.0\n"
+            "d1, d2 = rng.standard_normal((2, 256, 256))\n"
+            "mask = rng.uniform(shape=(256, 1)) > 0.5\n"
             "for g in (rng.standard_normal((256, 256)) / 16.0,\n"
-            "          rng.standard_normal((40, 256)).T @ rng.standard_normal((40, 256))):\n"
-            "    print(numkit.lanczos_spectral_norm(g).hex())\n")
+            "          rng.standard_normal((40, 256)).T @ rng.standard_normal((40, 256)),\n"
+            "          np.eye(256) + 0.05 * w,\n"
+            "          mask * rng.standard_normal((10, 256)).T / 16.0,\n"
+            "          (w + 0.1 * d1 / numkit.frobenius_norm(d1))\n"
+            "          - (w + 0.1 * d2 / numkit.frobenius_norm(d2))):\n"
+            "    print(numkit.spectral_norm(g).hex())\n")
         src = str(Path(numkit.__file__).resolve().parents[1])
         printed = {}
         for threads in ("1", "2"):
@@ -276,5 +297,5 @@ class TestPowerSpectralNorm:
             printed[threads] = subprocess.run(
                 [sys.executable, "-c", script], env=env, check=True,
                 capture_output=True, text=True, timeout=120).stdout
-        assert len(printed["1"].split()) == 2
+        assert len(printed["1"].split()) == 5
         assert printed["1"] == printed["2"]

@@ -225,8 +225,8 @@ class TestSemismoothness:
         assert np.isfinite(rep.measured["fitted_cbar_loss"])
 
     def test_loss_gradient_only_at_the_center(self, toy, monkeypatch):
-        # trial points need only their loss: with center pairs the one loss
-        # gradient is the center's, with independent pairs one more per draw
+        # trial points need only their loss: the one loss gradient is the
+        # center's
         rng, _, ds, params = toy
         xs = sphere(rng.substream("xs"), 4, params.d)
         calls = []
@@ -240,10 +240,31 @@ class TestSemismoothness:
         probes.probe_semismoothness(params, rng.substream("ssball"), xs,
                                     tau=0.1, draws=6, dataset=ds)
         assert calls == [params]
-        calls.clear()
-        probes.probe_semismoothness(params, rng.substream("ssball"), xs, tau=0.1,
-                                    draws=6, dataset=ds, pairs="independent")
-        assert len(calls) == 1 + 6 and calls[0] is params
+
+    def test_center_rows_formed_once_per_input(self, toy, monkeypatch):
+        # 6 random trials cycle through 4 inputs and 4 targeted trials
+        # revisit them: the center's one-row forward pass and backward rows
+        # are formed once for each of the 4 inputs
+        rng, _, ds, params = toy
+        xs = sphere(rng.substream("xs"), 4, params.d)
+        passes, rows = [], []
+        fwd, back = probes.forward_batch, lossgrad._backward_rows
+
+        def counted_forward(p, x):
+            if p is params and np.atleast_2d(x).shape[0] == 1:
+                passes.append(np.atleast_2d(x)[0].tobytes())
+            return fwd(p, x)
+
+        def counted_rows(p, bt):
+            if p is params and bt.n == 1:
+                rows.append(bt.activations[0][0].tobytes())
+            return back(p, bt)
+
+        monkeypatch.setattr(probes, "forward_batch", counted_forward)
+        monkeypatch.setattr(lossgrad, "_backward_rows", counted_rows)
+        probes.probe_semismoothness(params, rng.substream("ssball"), xs,
+                                    tau=0.1, draws=6, dataset=ds)
+        assert sorted(passes) == sorted(rows) == sorted(x.tobytes() for x in xs)
 
     def test_targeted_pairs_stay_in_ball(self, toy):
         rng, _, _, params = toy
@@ -251,7 +272,8 @@ class TestSemismoothness:
         for tau in (0.0, 0.001, 0.01, 0.1):
             ball = PerturbationBall(params, tau, rng.substream("ssball"))
             for x in xs:
-                wa = probes.flip_targeted_draw(ball, x)
+                g = lossgrad._backward_rows(params, forward_batch(params, x[None, :]))[1][0]
+                wa = probes.flip_targeted_draw(ball, x, g)
                 step = wa.weights[0] - params.weights[0]
                 assert numkit.frobenius_norm(step) <= tau
                 assert numkit.frobenius_norm(step) >= tau * (1.0 - 1e-9)
@@ -341,16 +363,6 @@ class TestSeparability:
         rep = probes.probe_separability(teacher, params, ds, rng.substream("ctl"))
         assert rep.measured["control_margin_layerL"] < rep.bound_expr
 
-    def test_nearest_method_available(self, toy):
-        rng, teacher, ds, params = toy
-        alpha_k = probes.separability_direction(teacher, params, method="kernel")
-        alpha_n = probes.separability_direction(teacher, params, method="nearest")
-        assert np.linalg.norm(alpha_k) == pytest.approx(1.0)
-        assert np.linalg.norm(alpha_n) == pytest.approx(1.0)
-        assert set(np.unique(np.sign(alpha_n))) <= {-1.0, 1.0}
-        with pytest.raises(ValueError):
-            probes.separability_direction(teacher, params, method="bogus")
-
 
 class TestThresholdIndices:
     def test_counts_monotone_in_beta(self, toy):
@@ -415,6 +427,27 @@ class TestSparseOutput:
 
 
 class TestLossAtInit:
+    def test_one_forward_pass_and_no_gradient(self, toy, monkeypatch):
+        _, _, ds, params = toy
+        passes, grads = [], []
+        fwd, grad = probes.forward_batch, lossgrad.batch_output_grad
+        monkeypatch.setattr(probes, "forward_batch",
+                            lambda *a: passes.append(a) or fwd(*a))
+        monkeypatch.setattr(lossgrad, "forward_batch",
+                            lambda *a: passes.append(a) or fwd(*a))
+        monkeypatch.setattr(lossgrad, "batch_output_grad",
+                            lambda *a: grads.append(a) or grad(*a))
+        rep = probes.probe_loss_at_init(params, ds)
+        assert len(passes) == 1 and grads == []
+        # the same numbers as the loss, surrogate and outputs of one
+        # full-gradient evaluation
+        loss, surrogate, _ = lossgrad.loss_grad_from_trace(
+            params, fwd(params, ds.xs), ds.ys)
+        assert rep.measured["loss"] == loss.total
+        assert rep.measured["surrogate"] == surrogate.empirical
+        assert rep.measured["max_abs_output"] == float(
+            np.max(np.abs(fwd(params, ds.xs).outputs)))
+
     def test_zero_weight_network_loss_is_log_two(self, toy):
         rng, _, ds, params = toy
         zero = params.with_weights(np.zeros_like(w) for w in params.weights)
