@@ -129,10 +129,8 @@ def _load_or_init_params(cfg, rng, dataset=None):
 
 
 def cmd_gen_data(cfg) -> int:
-    root = RngState(cfg["seed"])
-    teacher = data.make_teacher(root.substream("teacher"), cfg["d"], cfg["M"],
-                                cfg["gamma"])
-    ds = data.sample_dataset(teacher, root.substream("data"), cfg["n"])
+    ds = data.make_dataset(RngState(cfg["seed"]), cfg["d"], cfg["M"], cfg["gamma"],
+                           cfg["n"])
     os.makedirs(cfg["out"], exist_ok=True)
     path = _dataset_path(cfg)
     data.save_dataset(ds, path)
@@ -176,29 +174,24 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _sphere_inputs(rng: RngState, count: int, d: int) -> np.ndarray:
-    raw = rng.standard_normal((count, d))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
 def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
-    d = params.d
     n_inputs = cfg["probe_inputs"]
+
+    def sphere(count):
+        return data.unit_sphere_rows(root.substream("probe-inputs"), count, params.d)
+
     if name == "activation_norms":
-        xs = _sphere_inputs(root.substream("probe-inputs"), n_inputs, d)
-        return probes.probe_activation_norms(params, xs)
+        return probes.probe_activation_norms(params, sphere(n_inputs))
     if name == "input_lipschitz":
-        rng = root.substream("probe-inputs")
-        return probes.probe_input_lipschitz(
-            params, (_sphere_inputs(rng, n_inputs, d),
-                     _sphere_inputs(rng, n_inputs, d)))
+        rng = root.substream("probe-inputs")  # one stream, two disjoint draws
+        return probes.probe_input_lipschitz(params, tuple(
+            data.unit_sphere_rows(rng, n_inputs, params.d) for _ in range(2)))
     if name == "weight_lipschitz_flips":
-        xs = _sphere_inputs(root.substream("probe-inputs"), min(n_inputs, 10), d)
         return probes.probe_weight_lipschitz_and_flips(
-            params, root.substream("ball"), xs, tuple(cfg["tau_grid"]),
-            cfg["probe_draws"])
+            params, root.substream("ball"), sphere(min(n_inputs, 10)),
+            tuple(cfg["tau_grid"]), cfg["probe_draws"])
     if name == "semismoothness":
-        xs = _sphere_inputs(root.substream("probe-inputs"), min(n_inputs, 20), d)
+        xs = sphere(min(n_inputs, 20))
         return probes.probe_semismoothness(
             params, root.substream("ball"), xs, cfg["ball_tau"],
             cfg["probe_draws"] * 4, dataset=ds)
@@ -214,8 +207,8 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
         return probes.probe_separability(ds.teacher, params, ds,
                                          root.substream("control"))
     if name == "threshold_indices":
-        xs = _sphere_inputs(root.substream("probe-inputs"), n_inputs, d)
-        return probes.probe_threshold_indices(params, xs, tuple(cfg["beta_grid"]))
+        return probes.probe_threshold_indices(params, sphere(n_inputs),
+                                              tuple(cfg["beta_grid"]))
     if name == "sparse_output":
         return probes.probe_sparse_output(params, root.substream("ball"),
                                           cfg["ball_tau"], cfg["sparsity"],
@@ -246,9 +239,7 @@ def cmd_probe(cfg) -> int:
     if os.path.exists(path):
         ds = data.load_dataset(path)
     else:
-        teacher = data.make_teacher(root.substream("teacher"), cfg["d"],
-                                    cfg["M"], cfg["gamma"])
-        ds = data.sample_dataset(teacher, root.substream("data"), cfg["n"])
+        ds = data.make_dataset(root, cfg["d"], cfg["M"], cfg["gamma"], cfg["n"])
     params = _load_or_init_params(cfg, root, ds)
     os.makedirs(cfg["out"], exist_ok=True)
     index = {"reports": [], "verdicts": {}}
@@ -263,25 +254,18 @@ def cmd_probe(cfg) -> int:
     return EXIT_OK
 
 
-# Config keys a sweep cell's result depends on besides its arch and depth; a
-# cached cell.json is reused only when it was computed from the same values.
-SWEEP_CELL_KEYS = ("d", "n", "M", "gamma", "seed", "sweep_m", "theta_per_L",
-                   "sweep_eta_scale", "steps_budget", "surrogate_target")
-
-
-def _depth_sweep(cfg, cache=None) -> probes.ProbeReport:
+def _depth_sweep(cfg, cache_dir=None) -> probes.ProbeReport:
     return probes.depth_sweep(
         RngState(cfg["seed"]).substream("sweep"), tuple(cfg["sweep_L"]),
-        tuple(cfg["sweep_arch"]), d=cfg["d"], m=cfg["sweep_m"],
-        m_last=cfg["sweep_m"], n=cfg["n"], gamma=cfg["gamma"], M=cfg["M"],
-        theta_per_L=cfg["theta_per_L"], eta_scale=cfg["sweep_eta_scale"],
-        steps_budget=cfg["steps_budget"],
-        surrogate_target=cfg["surrogate_target"], cache=cache)
+        tuple(cfg["sweep_arch"]), d=cfg["d"], m=cfg["sweep_m"], n=cfg["n"],
+        gamma=cfg["gamma"], M=cfg["M"], theta_per_L=cfg["theta_per_L"],
+        eta_scale=cfg["sweep_eta_scale"], steps_budget=cfg["steps_budget"],
+        surrogate_target=cfg["surrogate_target"], cache_dir=cache_dir)
 
 
 def cmd_sweep(cfg) -> int:
     os.makedirs(cfg["out"], exist_ok=True)
-    rep = _depth_sweep(cfg, cache=(cfg["out"], {k: cfg[k] for k in SWEEP_CELL_KEYS}))
+    rep = _depth_sweep(cfg, cache_dir=cfg["out"])
     for row in rep.details:
         print(f"cell {row[0]} L={row[1]}: steps={row[4]}")
     agg = os.path.join(cfg["out"], "sweep.csv")

@@ -107,7 +107,8 @@ class MarginDataset:
         return self.xs.shape[1]
 
 
-def _unit_sphere_rows(rng: RngState, count: int, d: int) -> np.ndarray:
+def unit_sphere_rows(rng: RngState, count: int, d: int) -> np.ndarray:
+    """``count`` rows drawn uniformly on the unit sphere in R^d."""
     raw = rng.standard_normal((count, d))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0.0] = 1.0  # probability-zero guard
@@ -140,7 +141,7 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
             raise InfeasibleMarginError(
                 f"could not collect {n} samples within {max_draws} draws "
                 f"(acceptance rate {rate:.4%})")
-        xs = _unit_sphere_rows(rng, chunk, teacher.d)
+        xs = unit_sphere_rows(rng, chunk, teacher.d)
         fs = teacher_eval(teacher, xs)
         keep = (np.abs(fs) >= gamma) & (fs != 0.0)
         kept_x.append(xs[keep])
@@ -168,6 +169,13 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
         raise DegenerateTeacherError(
             f"class balance {pos_frac:.1%} / {1 - pos_frac:.1%} beyond 95/5")
     return MarginDataset(xs, ys, float(np.min(ys * fs)), teacher, seed_key, rate)
+
+
+def make_dataset(rng: RngState, d: int, M: int, gamma: float, n: int) -> MarginDataset:
+    """The lab's one dataset recipe: a teacher from ``rng``'s substream
+    ``"teacher"``, then ``n`` samples from its substream ``"data"``."""
+    teacher = make_teacher(rng.substream("teacher"), d, M, gamma)
+    return sample_dataset(teacher, rng.substream("data"), n)
 
 
 # --- dataset file format -----------------------------------------------------

@@ -47,19 +47,6 @@ def xent_deriv(z):
 
 
 @dataclass(frozen=True)
-class LossValue:
-    """Empirical cross-entropy loss: mean over samples plus the per-sample terms."""
-    total: float
-    per_sample: np.ndarray
-
-
-@dataclass(frozen=True)
-class SurrogateValue:
-    """Empirical surrogate loss: mean of -l'(y f), always inside (0, 1)."""
-    empirical: float
-
-
-@dataclass(frozen=True)
 class GradientSet:
     """Per-layer gradient matrices matching the weight shapes."""
     layers: tuple
@@ -123,8 +110,9 @@ def _as_xy(dataset):
     return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
 
 
-def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> LossValue:
-    """Empirical cross-entropy loss of an existing forward trace.
+def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> float:
+    """Empirical cross-entropy loss (the mean over samples) of an existing
+    forward trace.
 
     The one place the loss is computed: ``loss_grad_from_trace`` calls it,
     and callers that need only the loss call it alone, with no backward
@@ -135,22 +123,22 @@ def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> LossValue:
         raise DataError(f"labels have shape {ys.shape}, expected ({bt.n},)")
     if not np.all(np.abs(ys) == 1.0):
         raise DataError("labels must be +1 or -1")
-    per_sample = xent(ys * bt.outputs)
-    return LossValue(numkit.pairwise_sum(per_sample) / bt.n, per_sample)
+    return numkit.pairwise_sum(xent(ys * bt.outputs)) / bt.n
 
 
 def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
     """Loss, surrogate, and loss gradient reusing an existing forward trace.
 
-    The loss comes from ``loss_from_trace``; the surrogate and the gradient
-    add the loss derivative and one ``batch_output_grad``.
+    The loss comes from ``loss_from_trace``; the surrogate, the mean of
+    -l'(y f) and always inside (0, 1), and the gradient add the loss
+    derivative and one ``batch_output_grad``.
     """
     loss = loss_from_trace(bt, ys)
     ys = np.asarray(ys, dtype=np.float64)
     z = ys * bt.outputs
     n = bt.n
     lderiv = xent_deriv(z)
-    surrogate = SurrogateValue(-numkit.pairwise_sum(lderiv) / n)
+    surrogate = -numkit.pairwise_sum(lderiv) / n
     grads = batch_output_grad(params, bt, lderiv * ys / n)
     return loss, surrogate, grads
 

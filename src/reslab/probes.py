@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lossgrad, numkit, trainer
-from .data import (MarginDataset, Teacher, make_teacher, sample_dataset, write_csv,
-                   write_json)
+from .data import MarginDataset, Teacher, make_dataset, write_csv, write_json
 from .model import (NetworkParams, forward_batch, init_gaussian, interlayer_apply,
                     interlayer_norms)
 from .numkit import RngState
@@ -147,25 +146,27 @@ def _default_layer_pairs(L: int) -> list:
     return sorted({(l, lp) for l, lp in pairs if 1 <= l <= lp <= L + 1})
 
 
-def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
-                           norm_high=1.5, h_limit=None, h_inputs=5) -> ProbeReport:
+NORM_WINDOW = (0.5, 1.5)  # the [low, high] range every ||x_l|| must stay in
+
+
+def probe_activation_norms(params: NetworkParams, inputs, h_inputs=5) -> ProbeReport:
     """Hidden-layer norm window and interlayer operator norms.
 
     Measures ||x_l|| for every layer over all inputs, and the spectral norm
-    of H_l^{l'} over a fixed set of (l, l') pairs on the first few inputs,
-    one ``interlayer_norms`` chain per start layer and input, on the rows of
-    the one forward pass over all inputs.  Verdict
-    holds iff every activation norm lies in [norm_low, norm_high] and every
-    middle-range operator (2 <= l <= l' <= L) stays below ``h_limit``
-    (default exp(3*theta*L)); operators crossing the first or last layer
-    carry a spectral factor of that weight matrix, so they are reported
-    with a fitted constant rather than checked against the same limit.
+    of H_l^{l'} over a fixed set of (l, l') pairs on the first ``h_inputs``
+    inputs, one ``interlayer_norms`` chain per start layer and input, on the
+    rows of the one forward pass over all inputs.  Verdict holds iff every
+    activation norm lies in ``NORM_WINDOW`` and every middle-range operator
+    (2 <= l <= l' <= L) stays below h_limit = exp(3*theta*L) (no limit for
+    the plain net); operators crossing the first or last layer carry a
+    spectral factor of that weight matrix, so they are reported with a
+    fitted constant rather than checked against the same limit.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     bt = forward_batch(params, xs)
     L = params.depth
-    if h_limit is None:
-        h_limit = math.exp(3.0 * params.theta * L) if params.arch == "residual" else float("inf")
+    norm_low, norm_high = NORM_WINDOW
+    h_limit = math.exp(3.0 * params.theta * L) if params.arch == "residual" else float("inf")
 
     rows = []
     ok = True
@@ -207,14 +208,20 @@ def probe_activation_norms(params: NetworkParams, inputs, norm_low=0.5,
 # Lipschitz continuity in the input
 # ---------------------------------------------------------------------------
 
-def probe_input_lipschitz(params: NetworkParams, pairs, min_dist=1e-6,
-                          bound_constant=None) -> ProbeReport:
-    """Fitted constant for ||x_l - x_l'|| <= C ||x - x'|| over input pairs."""
+MIN_PAIR_DIST = 1e-6  # input pairs closer than this are left out of the fit
+
+
+def probe_input_lipschitz(params: NetworkParams, pairs) -> ProbeReport:
+    """Fitted constant for ||x_l - x_l'|| <= C ||x - x'|| over input pairs.
+
+    The bound is the fitted constant itself, so the verdict always holds;
+    the constant's stability is the output.
+    """
     xs_a, xs_b = (np.atleast_2d(np.asarray(p, dtype=np.float64)) for p in pairs)
     bt_a = forward_batch(params, xs_a)
     bt_b = forward_batch(params, xs_b)
     base = np.linalg.norm(xs_a - xs_b, axis=1)
-    keep = base >= min_dist
+    keep = base >= MIN_PAIR_DIST
     rows = []
     fitted = 0.0
     for l in range(1, params.depth + 2):
@@ -223,15 +230,14 @@ def probe_input_lipschitz(params: NetworkParams, pairs, min_dist=1e-6,
         if ratios.size:
             fitted = max(fitted, float(np.max(ratios)))
             rows.append([l, float(np.max(ratios)), float(np.mean(ratios))])
-    bound = bound_constant if bound_constant is not None else fitted
     return ProbeReport(
         name="input_lipschitz",
         measured={"fitted_constant": fitted, "pairs_used": int(np.count_nonzero(keep))},
-        bound_expr=bound,
+        bound_expr=fitted,
         constant_fit=fitted,
         trials=int(np.count_nonzero(keep)),
-        verdict=_verdict(fitted <= bound),
-        config={"min_dist": min_dist, "L": params.depth, "m": params.m,
+        verdict=VERDICT_HOLD,
+        config={"min_dist": MIN_PAIR_DIST, "L": params.depth, "m": params.m,
                 "theta": params.theta, "arch": params.arch},
         detail_columns=["layer", "ratio_max", "ratio_mean"],
         details=rows,
@@ -258,7 +264,7 @@ def _layered_weight_basis(params, wa, wb):
         run += d_spec[l - 1]
         basis[l] = d_spec[0] + params.theta * run
     basis[L + 1] = basis[L] + d_spec[L]
-    return basis, d_spec
+    return basis
 
 
 def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
@@ -283,7 +289,7 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
         for t in range(draws):
             wa = ball.draw()
             wb = ball.draw()
-            basis, _ = _layered_weight_basis(params, wa.weights, wb.weights)
+            basis = _layered_weight_basis(params, wa.weights, wb.weights)
             bta = forward_batch(wa, xs)
             btb = forward_batch(wb, xs)
             for l in range(1, L + 2):
@@ -435,8 +441,8 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
             la = lossgrad.loss_from_trace(forward_batch(wa, dataset.xs), ys)
             lin_loss = sum(float(np.sum(d * g))
                            for d, g in zip(deltas, gb.layers))
-            r_loss = la.total - lb.total - lin_loss
-            basis_loss = coef_h * h * sb.empirical + m * h * h
+            r_loss = la - lb - lin_loss
+            basis_loss = coef_h * h * sb + m * h * h
             if basis_loss > 0:
                 loss_ratio = r_loss / basis_loss
         rows.append([len(rows), kind, flips, h, resid, basis_f, loss_ratio])
@@ -481,20 +487,20 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
 # gradient upper / lower bound ratios along a trajectory
 # ---------------------------------------------------------------------------
 
-def probe_gradient_bounds(params: NetworkParams, dataset, records,
-                          gamma=None) -> ProbeReport:
+def probe_gradient_bounds(params: NetworkParams, dataset: MarginDataset,
+                          records) -> ProbeReport:
     """Normalized gradient ratios along a recorded training trajectory.
 
     Upper:  ||grad_l||_F / (scale_l * sqrt(m) * E_S); the max is the fitted C.
-    Lower:  ||grad_{L+1}||_F² / (m_{L+1} * gamma⁴ * E_S²); the min is the
-    fitted lower constant; positivity is the point.
+    Lower:  ||grad_{L+1}||_F² / (m_{L+1} * gamma⁴ * E_S²), gamma the
+    dataset teacher's margin; the min is the fitted lower constant;
+    positivity is the point.
     """
     if not records:
         raise ValueError("need a nonempty trajectory")
-    if gamma is None:
-        gamma = dataset.teacher.gamma if isinstance(dataset, MarginDataset) else None
-    if gamma is None:
-        raise ValueError("no margin available: pass gamma explicitly")
+    if not isinstance(dataset, MarginDataset):
+        raise ValueError("no margin available: need a dataset with a teacher")
+    gamma = dataset.teacher.gamma
     m = params.m
     L = params.depth
     sqrt_m = math.sqrt(m)
@@ -566,16 +572,18 @@ def last_layer_column_sets(params_init: NetworkParams, params_cur: NetworkParams
 # layerwise linear separability direction
 # ---------------------------------------------------------------------------
 
-def separability_direction(teacher: Teacher, params: NetworkParams,
-                           power: float = 3.0) -> np.ndarray:
+SEPARABILITY_POWER = 3.0  # exponent of the feature-similarity vote
+
+
+def separability_direction(teacher: Teacher, params: NetworkParams) -> np.ndarray:
     """Unit direction built from teacher coefficients at scaled first-layer rows.
 
     Each first-layer column w_{1,j}, rescaled by sqrt(m_1/2) to unit-Gaussian
-    calibration, gets the coefficient c(u) = clip(sum_k c_k cos_+(u, u_k)^power,
-    ±1), a measurable |c| <= 1 extension of the teacher's discrete ±1
-    coefficients by a smooth feature-similarity vote (empirically it
-    preserves the teacher's margin structure far better than a hard
-    nearest-feature assignment).  The resulting vector is normalized to the
+    calibration, gets the coefficient c(u) = clip(sum_k c_k cos_+(u, u_k)^p,
+    ±1) with p = ``SEPARABILITY_POWER``, a measurable |c| <= 1 extension of
+    the teacher's discrete ±1 coefficients by a smooth feature-similarity
+    vote (empirically it preserves the teacher's margin structure far better
+    than a hard nearest-feature assignment).  The resulting vector is normalized to the
     unit sphere.
     """
     m1 = params.widths[0]
@@ -584,24 +592,23 @@ def separability_direction(teacher: Teacher, params: NetworkParams,
     t_norm = teacher.directions / np.maximum(
         np.linalg.norm(teacher.directions, axis=1, keepdims=True), 1e-300)
     cos = u_norm @ t_norm.T
-    alpha = np.clip(np.maximum(cos, 0.0) ** power @ teacher.coeffs, -1.0, 1.0)
+    alpha = np.clip(np.maximum(cos, 0.0) ** SEPARABILITY_POWER @ teacher.coeffs,
+                    -1.0, 1.0)
     return alpha / np.linalg.norm(alpha)
 
 
 def probe_separability(teacher: Teacher, params: NetworkParams,
-                       dataset, rng: RngState, margin_floor=None,
-                       power: float = 3.0) -> ProbeReport:
+                       dataset, rng: RngState) -> ProbeReport:
     """Layerwise margins of the constructed direction versus a random control.
 
     Requires freshly initialized params (the construction reads W_1 at
     initialization).  Reports min_i y_i <alpha, x_{l,i}> per hidden layer;
-    verdict holds iff the layer-L margin clears ``margin_floor``
-    (default gamma / 4) while the random-alpha control does not.
+    verdict holds iff the layer-L margin clears the floor gamma / 4 while
+    the random-alpha control does not.
     """
     gamma = teacher.gamma
-    if margin_floor is None:
-        margin_floor = gamma / 4.0
-    alpha = separability_direction(teacher, params, power=power)
+    margin_floor = gamma / 4.0
+    alpha = separability_direction(teacher, params)
     control = rng.standard_normal(alpha.shape[0])
     control /= np.linalg.norm(control)
     bt = forward_batch(params, dataset.xs)
@@ -628,7 +635,7 @@ def probe_separability(teacher: Teacher, params: NetworkParams,
         verdict=_verdict(ok),
         config={"gamma": gamma, "margin_floor": margin_floor, "m": params.m,
                 "L": params.depth, "theta": params.theta, "method": "kernel",
-                "power": power},
+                "power": SEPARABILITY_POWER},
         detail_columns=["layer", "margin", "control_margin"],
         details=rows,
     )
@@ -746,18 +753,18 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
     surrogate = float(-numkit.pairwise_sum(lossgrad.xent_deriv(dataset.ys * bt.outputs)) / n)
     max_out = float(np.max(np.abs(bt.outputs)))
     basis = math.sqrt(math.log(max(n, 2)))
-    fitted = max(loss.total, max_out) / basis
+    fitted = max(loss, max_out) / basis
     return ProbeReport(
         name="loss_at_init",
-        measured={"loss": loss.total, "surrogate": surrogate,
+        measured={"loss": loss, "surrogate": surrogate,
                   "max_abs_output": max_out},
         bound_expr=fitted * basis,
         constant_fit=fitted,
         trials=n,
-        verdict=_verdict(loss.total <= fitted * basis + 1e-9),
+        verdict=_verdict(loss <= fitted * basis + 1e-9),
         config={"n": n, "m": params.m, "L": params.depth},
         detail_columns=["quantity", "value"],
-        details=[["loss", loss.total], ["surrogate", surrogate],
+        details=[["loss", loss], ["surrogate", surrogate],
                  ["max_abs_output", max_out]],
     )
 
@@ -792,21 +799,20 @@ def _ascent_step(params: NetworkParams, bt, weights, step_size) -> NetworkParams
 
 def rademacher_estimate(params: NetworkParams, tau: float, dataset,
                         rng: RngState, xi_draws: int = 16,
-                        ascent_steps: int = 50, step_size=None) -> ProbeReport:
+                        ascent_steps: int = 50) -> ProbeReport:
     """Lower estimate of the tau-ball's empirical Rademacher complexity.
 
-    For each sign vector xi, projected gradient ascent maximizes
-    (1/n) sum_i xi_i f_W(x_i) over the per-layer Frobenius ball; each draw
-    is centered by the initial network's own correlation with xi, so the
-    tau = 0 class yields exactly zero.  The report also carries the largest
-    first-order linearization gap at the ascent endpoints, and the fitted
-    constant against  tau^(4/3) sqrt(m log m) + tau sqrt(m) / sqrt(n).
+    For each sign vector xi, projected gradient ascent with step tau / 10
+    maximizes (1/n) sum_i xi_i f_W(x_i) over the per-layer Frobenius ball;
+    each draw is centered by the initial network's own correlation with xi,
+    so the tau = 0 class yields exactly zero.  The report also carries the
+    largest first-order linearization gap at the ascent endpoints, and the
+    fitted constant against  tau^(4/3) sqrt(m log m) + tau sqrt(m) / sqrt(n).
     """
     xs, _ = lossgrad._as_xy(dataset)
     n = xs.shape[0]
     m = params.m
-    if step_size is None:
-        step_size = tau / 10.0
+    step_size = tau / 10.0
     bt0 = forward_batch(params, xs)
     masked0 = lossgrad._backward_rows(params, bt0)[0]
     values = []
@@ -896,18 +902,22 @@ SWEEP_COLUMNS = ["arch", "L", "eta", "retries", "steps_to_threshold",
                  "final_train_err", "final_surrogate", "h2l_init", "h2l_final"]
 
 
-def sweep_cell(rng: RngState, arch: str, L: int, ds, d, m, m_last,
-               theta_per_L=0.1, eta_scale=40.0, steps_budget=2000,
-               surrogate_target=0.3, max_retries=2, probe_inputs=None) -> dict:
+SWEEP_MAX_RETRIES = 2      # eta halvings a diverging cell may take
+SWEEP_RATIO_LIMIT = 2.0    # largest residual steps-to-threshold ratio that holds
+
+
+def sweep_cell(rng: RngState, arch: str, L: int, ds, m, theta_per_L, eta_scale,
+               steps_budget, surrogate_target) -> dict:
     """Train one (arch, depth) cell under the shared tuning protocol.
 
     Every cell starts from eta = eta_scale / m and halves eta on divergence,
-    up to ``max_retries`` restarts.  ``steps_to_threshold`` is -1 when the
-    cell never reaches the surrogate target within the budget.
+    up to ``SWEEP_MAX_RETRIES`` restarts.  ``steps_to_threshold`` is -1 when
+    the cell never reaches the surrogate target within the budget.  The
+    ``h2l_*`` columns are the largest ||H_2^L|| over the first three samples.
     """
     theta = theta_per_L / L
     init_rng = rng.substream(f"init/{arch}/{L}")
-    params = init_gaussian(init_rng, d, L, m, m_last, theta, arch)
+    params = init_gaussian(init_rng, ds.d, L, m, m, theta, arch)
     eta = eta_scale / m
     retries = 0
     result = None
@@ -920,7 +930,7 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, d, m, m_last,
             break
         except trainer.DivergenceError:
             retries += 1
-            if retries > max_retries:
+            if retries > SWEEP_MAX_RETRIES:
                 break
             eta *= 0.5
     row = {"arch": arch, "L": L, "eta": eta, "retries": retries,
@@ -934,19 +944,19 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, d, m, m_last,
     last = result.records[-1]
     row["final_train_err"] = last.train_err
     row["final_surrogate"] = last.surrogate
-    if L >= 2 and probe_inputs is not None:
+    if L >= 2:
         # train never writes the weights it starts from: params is the init
         for key, net in (("h2l_init", params), ("h2l_final", result.params)):
-            bt = forward_batch(net, probe_inputs)
+            bt = forward_batch(net, ds.xs[:3])
             row[key] = max(interlayer_norms(bt, i, [(2, L)])[0] for i in range(bt.n))
     return row
 
 
-def _cached_cell(cache, arch, L, compute) -> dict:
-    """``cache``'s row for (arch, L) if computed from the same inputs, else
-    ``compute()``'s, stored; a half-written or malformed file is recomputed."""
-    path = os.path.join(cache[0], f"cell_{arch}_L{L}", "cell.json")
-    inputs = {"arch": arch, "L": L, **cache[1]}
+def _cached_cell(cache_dir, inputs, compute) -> dict:
+    """``cache_dir``'s row for ``inputs``' arch and L if computed from
+    ``inputs``, else ``compute()``'s, stored; a half-written or malformed
+    file is recomputed."""
+    path = os.path.join(cache_dir, f"cell_{inputs['arch']}_L{inputs['L']}", "cell.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             row = json.load(fh)
@@ -961,33 +971,36 @@ def _cached_cell(cache, arch, L, compute) -> dict:
 
 
 def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
-                d=10, m=128, m_last=128, n=200, gamma=0.1, M=64,
-                theta_per_L=0.1, eta_scale=2.0, steps_budget=2000,
-                surrogate_target=0.3, max_retries=2,
-                ratio_limit=2.0, cache=None) -> ProbeReport:
+                d=10, m=128, n=200, gamma=0.1, M=64, theta_per_L=0.1,
+                eta_scale=2.0, steps_budget=2000, surrogate_target=0.3,
+                cache_dir=None) -> ProbeReport:
     """Steps-to-surrogate-threshold across depths for both architectures.
 
     All cells share one dataset and one tuning protocol (see sweep_cell).
     The verdict holds iff the residual cells' steps-to-threshold vary by at
-    most ``ratio_limit`` across the depth grid; the plain baseline is
+    most ``SWEEP_RATIO_LIMIT`` across the depth grid; the plain baseline is
     reported alongside for comparison.
 
-    ``cache``, a (directory, stamp) pair, makes the sweep resumable: each
-    cell's row is stored in ``<directory>/cell_<arch>_L<L>/cell.json``
-    under ``inputs``, the stamp plus the cell's arch and depth, and a later
+    ``cache_dir`` makes the sweep resumable: each cell's row is stored in
+    ``<cache_dir>/cell_<arch>_L<L>/cell.json`` under ``inputs``, every
+    argument but ``L_grid``, ``arches`` and ``cache_dir`` (``rng`` as its
+    seed and stream) plus the cell's own ``arch`` and ``L``, and a later
     sweep reuses every stored row whose ``inputs`` match its own.
     """
-    teacher = make_teacher(rng.substream("teacher"), d, M, gamma)
-    ds = sample_dataset(teacher, rng.substream("data"), n)
+    # the arguments, taken before any other local is bound
+    stamp = {k: v for k, v in locals().items()
+             if k not in ("L_grid", "arches", "cache_dir")}
+    stamp["rng"] = [rng.seed, rng.stream]
+    ds = make_dataset(rng, d, M, gamma, n)
     rows = []
     steps_by_cell = {}
     for arch in arches:
         for L in L_grid:
             def cell():
-                return sweep_cell(rng, arch, L, ds, d, m, m_last, theta_per_L,
-                                  eta_scale, steps_budget, surrogate_target,
-                                  max_retries, ds.xs[:3])
-            row = cell() if cache is None else _cached_cell(cache, arch, L, cell)
+                return sweep_cell(rng, arch, L, ds, m, theta_per_L, eta_scale,
+                                  steps_budget, surrogate_target)
+            inputs = {"arch": arch, "L": L, **stamp}
+            row = cell() if cache_dir is None else _cached_cell(cache_dir, inputs, cell)
             steps = row["steps_to_threshold"]
             steps_by_cell[(arch, L)] = steps if steps >= 0 else None
             rows.append([row[c] for c in SWEEP_COLUMNS])
@@ -996,10 +1009,10 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
                       if ("residual", L) in steps_by_cell]
     ok = all(s is not None for s in residual_steps)
     ratio = float("nan")
-    if ok and min(residual_steps) > 0:
+    if ok and residual_steps and min(residual_steps) > 0:
         ratio = max(residual_steps) / min(residual_steps)
-        ok = ratio <= ratio_limit
-    elif ok:
+        ok = ratio <= SWEEP_RATIO_LIMIT
+    elif ok and residual_steps:
         ratio = 1.0  # all cells stopped at or before the first step
     plain_vs_res = float("nan")
     if "plain" in arches:
@@ -1012,7 +1025,7 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
         name="depth_sweep",
         measured={"residual_step_ratio": ratio,
                   "plain_over_residual_at_max_depth": plain_vs_res},
-        bound_expr=ratio_limit,
+        bound_expr=SWEEP_RATIO_LIMIT,
         constant_fit=ratio,
         trials=len(rows),
         verdict=_verdict(ok),

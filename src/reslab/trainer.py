@@ -14,7 +14,7 @@ W_l <- W_l - eta * grad_l on every layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,19 +116,18 @@ def _flip_fraction(bt, init_patterns) -> float:
     return diff / total
 
 
-def _evaluate(params, xs, ys, step, init_weights, init_patterns, eta,
-              with_h=True):
-    """Forward + gradient at one iterate, packaged as a TrajectoryRecord.
+def _evaluate(params, xs, ys, step, init_weights, init_patterns):
+    """Forward + gradient at one iterate: every TrajectoryRecord field but
+    the spectral step distance h, the one expensive field, which the
+    caller adds to the records it keeps.
 
-    The spectral step distance h is the one expensive field; callers that
-    only need the cheap metrics (loss, norms, distances) can defer it.
-    Also returns the iterate's activation patterns, without the rest of
-    its trace.
+    Also returns the gradient and the iterate's activation patterns,
+    without the rest of its trace.
     """
     bt = forward_batch(params, xs)
     loss, surrogate, grads = lossgrad.loss_grad_from_trace(params, bt, ys)
-    if not np.isfinite(loss.total):
-        raise DivergenceError(step, f"loss = {loss.total}")
+    if not np.isfinite(loss):
+        raise DivergenceError(step, f"loss = {loss}")
     grad_frob = grads.frobenius_norms()
     if not all(np.isfinite(g) for g in grad_frob):
         raise DivergenceError(step, "non-finite gradient")
@@ -136,19 +135,18 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns, eta,
     xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
     dist = tuple(numkit.frobenius_norm(w - w0)
                  for w, w0 in zip(params.weights, init_weights))
-    rec = TrajectoryRecord(
+    fields = dict(
         step=step,
-        loss=loss.total,
-        surrogate=surrogate.empirical,
+        loss=loss,
+        surrogate=surrogate,
         train_err=train_err,
         grad_frob=grad_frob,
-        h=_grad_step_distance(params, grads, eta) if with_h else float("nan"),
         dist_init=dist,
         flip_frac=_flip_fraction(bt, init_patterns) if init_patterns is not None else 0.0,
         xl_min=float(np.min(xl_norms)),
         xl_max=float(np.max(xl_norms)),
     )
-    return rec, grads, surrogate.empirical, bt.patterns
+    return fields, grads, bt.patterns
 
 
 def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
@@ -176,24 +174,23 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     best = np.inf
     for k in range(cfg.steps + 1):
         recording = k % cfg.record_every == 0 or k == cfg.steps
-        rec, grads, surrogate, patterns = _evaluate(
-            params, xs, ys, k, init_weights, init_patterns, cfg.eta,
-            with_h=recording)
+        fields, grads, patterns = _evaluate(params, xs, ys, k, init_weights,
+                                            init_patterns)
         if init_patterns is None:
             init_patterns = patterns
         del patterns  # held through the next evaluation, they raise peak memory
+        surrogate = fields["surrogate"]
         stopping = (cfg.stop_surrogate is not None
                     and surrogate <= cfg.stop_surrogate)
-        if stopping and not recording:
-            rec = replace(rec, h=_grad_step_distance(params, grads, cfg.eta))
         if recording or stopping:
-            result.records.append(rec)
+            result.records.append(TrajectoryRecord(
+                h=_grad_step_distance(params, grads, cfg.eta), **fields))
         if surrogate < best:
             best = surrogate
             result.best_step = k
             result.best_surrogate = surrogate
         if (result.tau_breach_step is None and cfg.tau_budget is not None
-                and max(rec.dist_init) > cfg.tau_budget):
+                and max(fields["dist_init"]) > cfg.tau_budget):
             result.tau_breach_step = k
         result.steps_run = k
         if stopping:

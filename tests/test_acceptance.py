@@ -128,9 +128,9 @@ def test_criterion_03_activation_norm_bounds():
     rng = RngState(1003)
     params = init_gaussian(rng.substream("init"), 10, 32, 1024, 1024, 0.1 / 32)
     xs = sphere(rng.substream("x"), 500, 10)
-    rep = probes.probe_activation_norms(params, xs, norm_low=0.5, norm_high=1.5,
-                                        h_inputs=2)
-    ok = rep.verdict == "hold"
+    rep = probes.probe_activation_norms(params, xs, h_inputs=2)
+    ok = (rep.verdict == "hold"
+          and (rep.config["norm_low"], rep.config["norm_high"]) == (0.5, 1.5))
     assert report(3, "activation norm bounds", ok,
                   f"range [{rep.measured['xnorm_min']:.3f}, "
                   f"{rep.measured['xnorm_max']:.3f}], "
@@ -281,7 +281,7 @@ def test_criterion_12_depth_sweep():
     """Residual steps-to-threshold stay within 2x across depths."""
     rep = probes.depth_sweep(RngState(0).substream("sweep"),
                              L_grid=(4, 16, 64), arches=("residual", "plain"),
-                             d=10, m=128, m_last=128, n=200, gamma=0.1, M=64,
+                             d=10, m=128, n=200, gamma=0.1, M=64,
                              theta_per_L=0.1, eta_scale=2.0, steps_budget=2000,
                              surrogate_target=0.3)
     ratio = rep.measured["residual_step_ratio"]

@@ -24,6 +24,10 @@ def write_config(path, **kv):
     return str(path)
 
 
+BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs")
+                       .glob("*.json"))
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     return write_config(tmp_path / "config.json")
@@ -34,6 +38,12 @@ class TestConfig:
         cfg = cli.load_config()
         assert cfg["m_last"] == cfg["m"]
         assert cfg["arch"] == "residual"
+
+    @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.name)
+    def test_bench_configs_load(self, path):
+        # an unknown key would make every benchmark command exit 4
+        cfg = cli.load_config(str(path))
+        assert cfg["seed"] == json.loads(path.read_text())["seed"]
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -185,6 +195,27 @@ class TestSweep:
             assert open(csv_path, "rb").read() == first
             assert open(cell, "rb").read() == whole
         assert sorted(os.listdir(os.path.dirname(cell))) == ["cell.json"]
+
+    def test_config_key_stamp_is_recomputed(self, tmp_path, cfg_file):
+        # cells stamped with config key names (seed, sweep_m, ...) rather
+        # than depth_sweep's argument names are stale, never reused
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+        csv_path = os.path.join(out, "sweep.csv")
+        first = open(csv_path, "rb").read()
+        cell = os.path.join(out, "cell_residual_L2", "cell.json")
+        whole = open(cell, "rb").read()
+        cfg = cli.load_config(cfg_file)
+        old = json.loads(whole)
+        old["inputs"] = {"arch": "residual", "L": 2, **{k: cfg[k] for k in (
+            "d", "n", "M", "gamma", "seed", "sweep_m", "theta_per_L",
+            "sweep_eta_scale", "steps_budget", "surrogate_target")}}
+        old["steps_to_threshold"] = 12345
+        with open(cell, "w", encoding="utf-8") as fh:
+            json.dump(old, fh)
+        assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+        assert open(csv_path, "rb").read() == first
+        assert open(cell, "rb").read() == whole
 
     def test_sweep_csv_matches_depth_sweep_probe(self, tmp_path, cfg_file):
         sweep, probe = str(tmp_path / "sweep"), str(tmp_path / "probe")

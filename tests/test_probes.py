@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -156,8 +158,9 @@ class TestActivationNormProbe:
             assert [h.hex() for h in hnorms] == [h.hex() for h in expected]
 
             cell_rng = rng.substream(f"cell/{arch}")
-            row = probes.sweep_cell(cell_rng, arch, L, ds, 6, 48, 48, steps_budget=5,
-                                    surrogate_target=0.01, probe_inputs=ds.xs[:3])
+            row = probes.sweep_cell(cell_rng, arch, L, ds, 48, theta_per_L=0.1,
+                                    eta_scale=40.0, steps_budget=5,
+                                    surrogate_target=0.01)
             init = init_gaussian(cell_rng.substream(f"init/{arch}/{L}"), 6, L, 48, 48,
                                  0.1 / L, arch)
             assert trained[-1].steps_run == 5
@@ -352,8 +355,7 @@ class TestSeparability:
         weights = (np.eye(d), np.eye(d), np.eye(d))
         params = NetworkParams(weights, 0.01, output_vector(d), "residual")
         ds = sample_dataset(teacher, rng.substream("d"), 40, pilot_draws=5000)
-        rep = probes.probe_separability(teacher, params, ds, rng.substream("c"),
-                                        margin_floor=teacher.gamma / 2)
+        rep = probes.probe_separability(teacher, params, ds, rng.substream("c"))
         assert rep.measured["margin_layer1"] >= teacher.gamma / 2
         # alpha_j = c_j / sqrt(d): x_1 = relu(x), margin = y * fhat >= gamma
         assert rep.measured["margin_layer1"] >= ds.realized_margin * 0.99
@@ -443,8 +445,8 @@ class TestLossAtInit:
         # full-gradient evaluation
         loss, surrogate, _ = lossgrad.loss_grad_from_trace(
             params, fwd(params, ds.xs), ds.ys)
-        assert rep.measured["loss"] == loss.total
-        assert rep.measured["surrogate"] == surrogate.empirical
+        assert rep.measured["loss"] == loss
+        assert rep.measured["surrogate"] == surrogate
         assert rep.measured["max_abs_output"] == float(
             np.max(np.abs(fwd(params, ds.xs).outputs)))
 
@@ -528,7 +530,7 @@ class TestDepthSweep:
     def test_tiny_sweep_structure(self):
         rng = RngState(81)
         rep = probes.depth_sweep(rng, L_grid=(2, 4), arches=("residual",),
-                                 d=6, m=32, m_last=32, n=40, gamma=0.05, M=32,
+                                 d=6, m=32, n=40, gamma=0.05, M=32,
                                  eta_scale=2.0, steps_budget=300,
                                  surrogate_target=0.35)
         assert len(rep.details) == 2
@@ -536,3 +538,25 @@ class TestDepthSweep:
         steps = [row[4] for row in rep.details]
         assert all(s >= 0 for s in steps)
         assert np.isfinite(rep.measured["residual_step_ratio"])
+
+    def test_cell_stamp_is_the_sweep_arguments(self, tmp_path):
+        # every argument but the grids and the cache directory is stamped,
+        # so a new argument cannot be left out of the cache key
+        rng = RngState(82).substream("sweep")
+        probes.depth_sweep(rng, L_grid=(2,), arches=("plain",), d=6, m=16, n=40,
+                           gamma=0.05, M=32, steps_budget=3, surrogate_target=0.35,
+                           cache_dir=str(tmp_path))
+        with open(tmp_path / "cell_plain_L2" / "cell.json", encoding="utf-8") as fh:
+            inputs = json.load(fh)["inputs"]
+        args = set(inspect.signature(probes.depth_sweep).parameters)
+        assert set(inputs) == args - {"L_grid", "arches", "cache_dir"} | {"arch", "L"}
+        assert inputs == {"arch": "plain", "L": 2, "rng": [rng.seed, rng.stream],
+                          "d": 6, "m": 16, "n": 40, "gamma": 0.05, "M": 32,
+                          "theta_per_L": 0.1, "eta_scale": 2.0, "steps_budget": 3,
+                          "surrogate_target": 0.35}
+
+    def test_plain_only_sweep_has_no_residual_ratio(self):
+        rep = probes.depth_sweep(RngState(83), L_grid=(2, 3), arches=("plain",),
+                                 d=6, m=16, n=40, gamma=0.05, M=32, steps_budget=3)
+        assert len(rep.details) == 2
+        assert math.isnan(rep.measured["residual_step_ratio"])

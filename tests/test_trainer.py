@@ -81,7 +81,7 @@ class TestGdStep:
             loss0, _, _ = lossgrad.batch_loss_grad(params, ds)
             stepped = train(params, ds, TrainConfig(1.0 / 64, steps=1)).params
             loss1, _, _ = lossgrad.batch_loss_grad(stepped, ds)
-            assert loss1.total < loss0.total
+            assert loss1 < loss0
 
 
 class TestTrain:
@@ -96,7 +96,7 @@ class TestTrain:
         res = train(params, ds, TrainConfig(eta=0.05, steps=5))
         assert [r.step for r in res.records] == list(range(6))
         assert res.records[0].loss == pytest.approx(
-            lossgrad.batch_loss_grad(params, ds)[0].total)
+            lossgrad.batch_loss_grad(params, ds)[0])
         assert max(res.records[0].dist_init) == 0.0
 
     def test_best_step_is_argmin_surrogate(self, small_problem):
