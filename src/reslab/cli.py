@@ -4,7 +4,10 @@ Everything is reproducible from a flat JSON config plus one root seed; all
 randomness flows from that seed through named substreams (teacher/data/init/
 ball/xi/...).  CLI flags override config-file keys, which override built-in
 defaults, and every output directory embeds the resolved config it was
-produced with.
+produced with.  The flags are --config, --seed, --out, --arch, --probes,
+--data and --checkpoint; every other value is set in the config file.  The
+skip weight is theta_per_L / L and the step size eta_scale / m, with m the
+width of the network being trained.
 
 Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O or shape
 error, 4 usage error.
@@ -39,9 +42,8 @@ EXIT_USAGE = 4
 DEFAULTS = {
     "d": 10, "L": 16, "m": 256, "m_last": None, "n": 200,
     "gamma": 0.1, "M": 64,
-    "theta": None, "theta_per_L": 0.1,
-    "eta": None, "eta_scale": 10.0,
-    "K": 2000, "tau": None, "stop_surrogate": None, "record_every": 1,
+    "theta_per_L": 0.1, "eta_scale": 10.0,
+    "K": 2000, "stop_surrogate": None,
     "seed": 0, "arch": "residual",
     "probes": "all",
     "data": None, "checkpoint": None,
@@ -97,16 +99,12 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-def resolved_theta(cfg, L=None) -> float:
-    if cfg["theta"] is not None:
-        return float(cfg["theta"])
-    return float(cfg["theta_per_L"]) / (L if L is not None else cfg["L"])
+def resolved_theta(cfg) -> float:
+    return float(cfg["theta_per_L"]) / cfg["L"]
 
 
-def resolved_eta(cfg, m=None) -> float:
-    if cfg["eta"] is not None:
-        return float(cfg["eta"])
-    return float(cfg["eta_scale"]) / (m if m is not None else cfg["m"])
+def resolved_eta(cfg, m) -> float:
+    return float(cfg["eta_scale"]) / m
 
 
 def _echo(cfg) -> dict:
@@ -117,10 +115,10 @@ def _dataset_path(cfg) -> str:
     return cfg["data"] or os.path.join(cfg["out"], "dataset.bin")
 
 
-def _load_or_init_params(cfg, rng, dataset=None):
+def _load_or_init_params(cfg, rng, dataset):
     if cfg["checkpoint"]:
         params = model.load_checkpoint(cfg["checkpoint"])
-        if dataset is not None and params.d != dataset.d:
+        if params.d != dataset.d:
             raise model.ShapeError(
                 f"checkpoint input dim {params.d} != dataset dim {dataset.d}")
         return params
@@ -155,9 +153,8 @@ def cmd_train(cfg) -> int:
     ds = data.load_dataset(path)
     root = RngState(cfg["seed"])
     params = _load_or_init_params(cfg, root, ds)
-    tcfg = trainer.TrainConfig(
-        eta=resolved_eta(cfg), steps=cfg["K"], tau_budget=cfg["tau"],
-        stop_surrogate=cfg["stop_surrogate"], record_every=cfg["record_every"])
+    tcfg = trainer.TrainConfig(eta=resolved_eta(cfg, params.m), steps=cfg["K"],
+                               stop_surrogate=cfg["stop_surrogate"])
     result = trainer.train(params, ds, tcfg)
     os.makedirs(cfg["out"], exist_ok=True)
     trainer.write_trajectory_csv(result.records,
@@ -357,12 +354,6 @@ def build_parser() -> _Parser:
         p.add_argument("--checkpoint", default=None, help="network checkpoint path")
         p.add_argument("--probes", default=None,
                        help="comma-separated probe names or 'all'")
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--L", type=int, default=None)
     return parser
 
 

@@ -1009,11 +1009,13 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
                       if ("residual", L) in steps_by_cell]
     ok = all(s is not None for s in residual_steps)
     ratio = float("nan")
-    if ok and residual_steps and min(residual_steps) > 0:
-        ratio = max(residual_steps) / min(residual_steps)
+    if ok and residual_steps:
+        lo, hi = min(residual_steps), max(residual_steps)
+        if lo > 0:
+            ratio = hi / lo
+        else:  # a cell stopped at step 0: equal only if every cell did
+            ratio = 1.0 if hi == 0 else float("inf")
         ok = ratio <= SWEEP_RATIO_LIMIT
-    elif ok and residual_steps:
-        ratio = 1.0  # all cells stopped at or before the first step
     plain_vs_res = float("nan")
     if "plain" in arches:
         L_max = max(L_grid)

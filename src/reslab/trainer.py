@@ -41,7 +41,6 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     eta: float
     steps: int
-    tau_budget: float = None       # optional alarm threshold, never fatal
     stop_surrogate: float = None   # early-stop target for the surrogate loss
     record_every: int = 1
 
@@ -83,7 +82,6 @@ class TrainResult:
     records: list
     best_step: int = None
     best_surrogate: float = None
-    tau_breach_step: int = None
     stopped_early: bool = False
     steps_run: int = 0
 
@@ -162,8 +160,9 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     """Run at most cfg.steps GD iterations, recording the trajectory.
 
     Record k describes iterate W^(k); the loop stops early once the
-    surrogate target is met, and flags (without aborting) the first step at
-    which any layer leaves the tau_budget ball around the initialization.
+    surrogate target is met.  With ``record_every`` 1, the first step at
+    which a layer leaves a ball around the initialization is the first
+    record whose ``max(dist_init)`` exceeds the radius.
     """
     xs, ys = lossgrad._as_xy(dataset)
     result = TrainResult(params=params, records=[])
@@ -189,9 +188,6 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
             best = surrogate
             result.best_step = k
             result.best_surrogate = surrogate
-        if (result.tau_breach_step is None and cfg.tau_budget is not None
-                and max(fields["dist_init"]) > cfg.tau_budget):
-            result.tau_breach_step = k
         result.steps_run = k
         if stopping:
             result.stopped_early = True
@@ -212,7 +208,6 @@ def write_summary_json(result: TrainResult, config_echo: dict, path) -> None:
         "config": config_echo,
         "best_step": result.best_step,
         "best_surrogate": result.best_surrogate,
-        "tau_breach_step": result.tau_breach_step,
         "stopped_early": result.stopped_early,
         "steps_run": result.steps_run,
     }

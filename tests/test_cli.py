@@ -57,13 +57,30 @@ class TestConfig:
         assert cfg["seed"] == 9
 
     def test_eta_and_theta_resolution(self):
-        cfg = cli.load_config(None, {"eta": 0.25, "theta": 0.001})
-        assert cli.resolved_eta(cfg) == 0.25
-        assert cli.resolved_theta(cfg) == 0.001
-        cfg = cli.load_config()
-        assert cli.resolved_eta(cfg) == pytest.approx(cfg["eta_scale"] / cfg["m"])
-        assert cli.resolved_theta(cfg) == pytest.approx(
-            cfg["theta_per_L"] / cfg["L"])
+        # the scaled form is the only form: theta_per_L / L and eta_scale / m
+        cfg = cli.load_config(None, {"theta_per_L": 0.2, "L": 8, "eta_scale": 4.0})
+        assert cli.resolved_theta(cfg) == 0.2 / 8
+        assert cli.resolved_eta(cfg, 32) == 4.0 / 32
+        assert cli.resolved_eta(cfg, cfg["m"]) == 4.0 / cfg["m"]
+
+    def test_defaults_are_the_golden_keys(self):
+        # every key but the two paths is set by the golden config, so a knob
+        # no config sets cannot be added to DEFAULTS unnoticed
+        golden = Path(__file__).resolve().parents[1] / "configs" / "golden.json"
+        assert set(cli.DEFAULTS) - {"data", "checkpoint"} == set(
+            json.loads(golden.read_text()))
+
+    def test_train_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command").choices["train"]
+        flags = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", "--seed", "--out", "--arch", "--probes",
+                         "--data", "--checkpoint"}
+
+    def test_removed_knobs_exit_4(self, tmp_path):
+        assert main(["train", "--L", "4"]) == 4
+        assert main(["train", "--config", write_config(tmp_path / "c.json", tau=0.1),
+                     "--out", str(tmp_path / "o")]) == 4
 
 
 class TestGenData:
@@ -117,6 +134,23 @@ class TestTrain:
         assert open(os.path.join(out, "trajectory.csv"), "rb").read() == t1
         assert open(os.path.join(out, "summary.json"), "rb").read() == s1
         assert open(os.path.join(out, "checkpoint.bin"), "rb").read() == c1
+
+    def test_eta_follows_checkpoint_width(self, tmp_path, cfg_file):
+        # the step size is eta_scale over the trained network's width, not
+        # over the config's m, so a width-32 checkpoint trains alike under both
+        out = str(tmp_path / "run")
+        main(["gen-data", "--config", cfg_file, "--out", out])
+        main(["train", "--config", cfg_file, "--out", out])
+        ckpt = os.path.join(out, "checkpoint.bin")
+        trajectories = []
+        for width in (64, 32):
+            cfg = write_config(tmp_path / f"m{width}.json", m=width, m_last=width,
+                               K=5)
+            dest = str(tmp_path / f"m{width}")
+            assert main(["train", "--config", cfg, "--out", dest, "--data",
+                         os.path.join(out, "dataset.bin"), "--checkpoint", ckpt]) == 0
+            trajectories.append(open(os.path.join(dest, "trajectory.csv"), "rb").read())
+        assert trajectories[0] == trajectories[1]
 
     def test_plain_arch_flag(self, tmp_path, cfg_file):
         out = str(tmp_path / "run")

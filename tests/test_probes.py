@@ -560,3 +560,13 @@ class TestDepthSweep:
                                  d=6, m=16, n=40, gamma=0.05, M=32, steps_budget=3)
         assert len(rep.details) == 2
         assert math.isnan(rep.measured["residual_step_ratio"])
+
+    def test_step_zero_cell_does_not_hide_a_slow_one(self):
+        # the L=4 cell stops at step 0 while L=2 takes 8 steps: an unbounded
+        # ratio, not the 1.0 of cells that all stop at once
+        rep = probes.depth_sweep(RngState(1), L_grid=(2, 4, 8), arches=("residual",),
+                                 d=6, m=32, n=40, gamma=0.05, M=32, steps_budget=50,
+                                 surrogate_target=0.45)
+        assert [row[4] for row in rep.details] == [8, 0, 1]
+        assert rep.measured["residual_step_ratio"] == math.inf
+        assert rep.verdict == "violated"
