@@ -10,9 +10,11 @@ matmul per layer in fixed sample order.  Each masked backward row block
 g_l ⊙ sigma_l is formed once and serves both the backward recursion and
 the layer gradient.  Only the dense layer gradients are kept, not their
 factors; the spectral norms behind ``h_k`` are taken on them by the lab's
-one spectral-norm routine, ``numkit.spectral_norm``.  A central
-finite-difference oracle (with a pattern-flip detector, since the output is
-only piecewise linear in each weight) provides the independent check.
+one spectral-norm routine, ``numkit.spectral_norm``.  The surrogate loss
+and the 0-1 error of a trace are defined here once.  A central
+finite-difference oracle, which reports entries whose probes flip an
+activation pattern (the output is only piecewise linear in each weight),
+provides the independent check.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _backward_rows(params: NetworkParams, bt: BatchTrace) -> tuple:
     for l in range(L + 1, 1, -1):
         masked[l] = g * bt.pattern(l)
         back = masked[l] @ params.weights[l - 1].T
-        g = g + params.theta * back if params.arch == "residual" and l <= L else back
+        g = g + params.theta * back if params.skip(l) else back
     masked[1] = g * bt.pattern(1)
     return masked, g
 
@@ -103,13 +105,6 @@ def batch_output_grad(params: NetworkParams, bt: BatchTrace,
     return GradientSet(tuple(layers))
 
 
-def _as_xy(dataset):
-    if hasattr(dataset, "xs") and hasattr(dataset, "ys"):
-        return np.asarray(dataset.xs, dtype=np.float64), np.asarray(dataset.ys, dtype=np.float64)
-    xs, ys = dataset
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-
-
 def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> float:
     """Empirical cross-entropy loss (the mean over samples) of an existing
     forward trace.
@@ -121,35 +116,37 @@ def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> float:
     ys = np.asarray(ys, dtype=np.float64)
     if ys.shape != (bt.n,):
         raise DataError(f"labels have shape {ys.shape}, expected ({bt.n},)")
+    if bt.n == 0:
+        raise DataError("empty batch")
     if not np.all(np.abs(ys) == 1.0):
         raise DataError("labels must be +1 or -1")
     return numkit.pairwise_sum(xent(ys * bt.outputs)) / bt.n
 
 
+def surrogate(bt: BatchTrace, ys: np.ndarray) -> tuple:
+    """The surrogate loss of a trace, the mean of -l'(y f) through
+    ``numkit.pairwise_sum`` and always inside (0, 1), with its per-sample
+    terms -l'(y_i f(x_i)).  The lab's one definition of the surrogate."""
+    terms = -xent_deriv(ys * bt.outputs)
+    return numkit.pairwise_sum(terms) / bt.n, terms
+
+
+def zero_one_error(bt: BatchTrace, ys: np.ndarray) -> float:
+    """Fraction of samples with y f(x) <= 0: a tie at zero is an error."""
+    return float(np.mean(ys * bt.outputs <= 0.0))
+
+
 def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
     """Loss, surrogate, and loss gradient reusing an existing forward trace.
 
-    The loss comes from ``loss_from_trace``; the surrogate, the mean of
-    -l'(y f) and always inside (0, 1), and the gradient add the loss
-    derivative and one ``batch_output_grad``.
+    The loss comes from ``loss_from_trace`` and the surrogate from
+    ``surrogate``, whose per-sample terms weight the one
+    ``batch_output_grad``.
     """
     loss = loss_from_trace(bt, ys)
-    ys = np.asarray(ys, dtype=np.float64)
-    z = ys * bt.outputs
-    n = bt.n
-    lderiv = xent_deriv(z)
-    surrogate = -numkit.pairwise_sum(lderiv) / n
-    grads = batch_output_grad(params, bt, lderiv * ys / n)
-    return loss, surrogate, grads
-
-
-def batch_loss_grad(params: NetworkParams, dataset):
-    """Empirical loss, surrogate, and full loss gradient over a dataset."""
-    xs, ys = _as_xy(dataset)
-    if xs.shape[0] == 0:
-        raise DataError("empty dataset")
-    bt = forward_batch(params, xs)
-    return loss_grad_from_trace(params, bt, ys)
+    value, terms = surrogate(bt, ys)
+    grads = batch_output_grad(params, bt, -terms * ys / bt.n)
+    return loss, value, grads
 
 
 def _perturbed(params: NetworkParams, l: int, i: int, j: int, delta: float) -> NetworkParams:
@@ -159,25 +156,22 @@ def _perturbed(params: NetworkParams, l: int, i: int, j: int, delta: float) -> N
 
 
 def finite_diff_oracle(params: NetworkParams, x: np.ndarray, l: int,
-                       i: int, j: int, h: float) -> float:
-    """Central difference of the output along weight entry (i, j) of layer l."""
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
-    f_plus = forward_batch(_perturbed(params, l, i, j, +h), x[None, :]).outputs[0]
-    f_minus = forward_batch(_perturbed(params, l, i, j, -h), x[None, :]).outputs[0]
-    return float(f_plus - f_minus) / (2.0 * h)
-
-
-def perturbation_flips(params: NetworkParams, x: np.ndarray, l: int,
-                       i: int, j: int, h: float) -> bool:
-    """True if the ±h probes of entry (i, j) flip any activation pattern bit.
+                       i: int, j: int, h: float):
+    """Central difference of the output along weight entry (i, j) of layer
+    l, or None if either ±h probe flips an activation pattern bit.
 
     Flipped entries sit on a kink of the piecewise-linear output, where the
     central difference no longer matches the one-sided analytic gradient.
+    A flip-free entry costs three forward passes: the base and the two
+    probes.
     """
-    base = forward_batch(params, x[None, :])
+    if not h > 0:
+        raise ValueError(f"step must be positive, got {h}")
+    base = forward_batch(params, x[None, :]).patterns
+    outputs = []
     for delta in (+h, -h):
-        pert = forward_batch(_perturbed(params, l, i, j, delta), x[None, :])
-        if not all(map(np.array_equal, base.patterns, pert.patterns)):
-            return True
-    return False
+        probe = forward_batch(_perturbed(params, l, i, j, delta), x[None, :])
+        if not all(map(np.array_equal, base, probe.patterns)):
+            return None
+        outputs.append(probe.outputs[0])
+    return float(outputs[0] - outputs[1]) / (2.0 * h)

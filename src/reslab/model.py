@@ -34,7 +34,7 @@ NORM_TOL = 1e-9  # allowed deviation of input norms from 1
 
 
 class ConfigError(ValueError):
-    """Invalid architecture hyperparameters."""
+    """A network, training or probe hyperparameter outside its valid range."""
 
 
 class ShapeError(ValueError):
@@ -67,7 +67,7 @@ class NetworkParams:
         if self.arch not in (ARCH_RESIDUAL, ARCH_PLAIN):
             raise ConfigError(f"unknown arch {self.arch!r}")
         if len(self.weights) < 2:
-            raise ConfigError("need at least W_1 and W_{L+1}")
+            raise ConfigError("depth must be >= 1: need at least W_1 and W_{L+1}")
         widths = [w.shape[1] for w in self.weights]
         for i in range(1, len(self.weights)):
             if self.weights[i].shape[0] != widths[i - 1]:
@@ -114,11 +114,14 @@ class NetworkParams:
         """Activation dimension at layer l (layer 0 is the input)."""
         return self.d if l == 0 else self.widths[l - 1]
 
+    def skip(self, l: int) -> bool:
+        """Whether layer l carries the theta-scaled skip: residual nets on
+        layers 2..L, never at the two ends or in the plain baseline."""
+        return self.arch == ARCH_RESIDUAL and 2 <= l <= self.depth
+
     def layer_scale(self, l: int) -> float:
-        """Gradient scale factor for layer l: theta on 2..L, 1 at the ends."""
-        if self.arch == ARCH_PLAIN:
-            return 1.0
-        return self.theta if 2 <= l <= self.depth else 1.0
+        """Gradient scale factor for layer l: theta where it skips, else 1."""
+        return self.theta if self.skip(l) else 1.0
 
     def with_weights(self, weights) -> "NetworkParams":
         return replace(self, weights=tuple(weights))
@@ -128,22 +131,18 @@ def init_gaussian(rng: RngState, d: int, L: int, m: int, m_last: int,
                   theta: float, arch: str = ARCH_RESIDUAL) -> NetworkParams:
     """Gaussian-initialized network: W_l entries ~ N(0, 2/m_l).
 
-    Requires m_last even and within [m/4, 4m] so the two final widths are of
-    the same order; residual nets additionally require theta * L <= 1.
+    Requires m_last within [m/4, 4m] so the two final widths are of the
+    same order; ``output_vector`` and ``NetworkParams`` reject the rest
+    (m_last odd or nonpositive, L < 1, theta < 0, theta * L > 1 residual).
     """
-    if L < 1:
-        raise ConfigError(f"depth must be >= 1, got {L}")
-    if m_last % 2 != 0 or m_last <= 0:
-        raise ConfigError(f"m_last must be positive and even, got {m_last}")
     if not (m / 4 <= m_last <= 4 * m):
         raise ConfigError(f"m_last={m_last} not within [m/4, 4m] of m={m}")
-    if theta < 0 or (arch == ARCH_RESIDUAL and theta * L > 1.0 + 1e-12):
-        raise ConfigError(f"invalid residual scaling theta={theta} at L={L}")
+    v = output_vector(m_last)
     dims = [d] + [m] * L + [m_last]
     weights = []
     for l in range(1, L + 2):
         weights.append(numkit.gaussian_matrix(rng, dims[l - 1], dims[l], 2.0 / dims[l]))
-    return NetworkParams(tuple(weights), float(theta), output_vector(m_last), arch)
+    return NetworkParams(tuple(weights), float(theta), v, arch)
 
 
 def _check_unit_rows(x: np.ndarray) -> None:
@@ -193,7 +192,7 @@ def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
         pat = pre > 0.0  # strict: ties at exactly zero count as inactive
         inc = np.maximum(pre, 0.0)
         inc += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
-        if params.arch == ARCH_RESIDUAL and 2 <= l <= L:
+        if params.skip(l):
             h = h + params.theta * inc
         else:
             h = inc
@@ -210,7 +209,7 @@ def _check_range(L: int, l: int, lp: int) -> None:
 
 def _factor_apply(params, pattern, w, r, a):
     masked = pattern * (w.T @ a)
-    if params.arch == ARCH_RESIDUAL and 2 <= r <= params.depth:
+    if params.skip(r):
         return a + params.theta * masked
     return masked
 
@@ -329,5 +328,8 @@ def load_checkpoint(path) -> NetworkParams:
             weights.append(w)
         if fh.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after byte {offset}")
-    return NetworkParams(tuple(weights), float(header["theta"]),
-                         output_vector(widths[-1]), str(header["arch"]))
+    try:
+        return NetworkParams(tuple(weights), float(header["theta"]),
+                             output_vector(widths[-1]), str(header["arch"]))
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc

@@ -1,10 +1,11 @@
 """Deterministic dense linear algebra and random sampling substrate.
 
-Everything is float64.  Explicit sums that feed reported numbers go through
-a fixed pairwise tree (``pairwise_sum``) so the result is a function of the
-input order only, never of thread count or chunking.  Every spectral norm
-in the lab, of layer gradients (``h_k``), weight differences and
-interlayer operators alike, comes from one routine, ``spectral_norm``:
+Everything is float64.  The sums behind the loss, the surrogate, every
+Frobenius norm and the Rademacher estimate go through a fixed pairwise tree
+(``pairwise_sum``), so each is a function of the input order only, never
+of thread count or chunking.  Every spectral norm in the lab, of layer
+gradients (``h_k``), weight differences and interlayer operators alike,
+comes from one routine, ``spectral_norm``:
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization, which
 needs only a few matrix-vector products per norm and is exact to rounding
 unless the top singular values cluster.  All sampling flows through

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import lossgrad, numkit, trainer
 from .data import MarginDataset, Teacher, make_dataset, write_csv, write_json
-from .model import (NetworkParams, forward_batch, init_gaussian, interlayer_apply,
-                    interlayer_norms)
+from .model import (ConfigError, NetworkParams, forward_batch, init_gaussian,
+                    interlayer_apply, interlayer_norms)
 from .numkit import RngState
 
 VERDICT_HOLD = "hold"
@@ -67,6 +67,16 @@ class ProbeReport:
 
 def _verdict(ok: bool) -> str:
     return VERDICT_HOLD if ok else VERDICT_VIOLATED
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log ys against log xs over the points with
+    ys > 0; NaN when fewer than two remain."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys)
+    keep = ys > 0
+    if np.count_nonzero(keep) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
 BOUNDARY_FRACTION = 0.8  # fraction of ball draws placed on the boundary
@@ -306,14 +316,7 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
                              m_l * tau ** (2.0 / 3.0)])
         mean_flips.append(float(np.mean(flips_here)))
 
-    # log-log slope of flips against tau over grid cells with any flips
-    taus = np.asarray(tau_grid, dtype=np.float64)
-    flips_arr = np.asarray(mean_flips)
-    mask = flips_arr > 0
-    slope = float("nan")
-    if np.count_nonzero(mask) >= 2:
-        slope = float(np.polyfit(np.log(taus[mask]), np.log(flips_arr[mask]), 1)[0])
-
+    slope = _loglog_slope(tau_grid, mean_flips)  # over grid cells with any flips
     ok = all(r[3] <= fitted_c2 * r[4] + 1e-12 or r[4] == 0 for r in rows)
     return ProbeReport(
         name="weight_lipschitz_flips",
@@ -417,7 +420,7 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     ball = PerturbationBall(params, tau, rng.substream("ball"))
     coef_h = tau ** (1.0 / 3.0) * math.sqrt(m * math.log(m))
     if dataset is not None:
-        ys = np.asarray(dataset.ys, dtype=np.float64)
+        ys = dataset.ys
         lb, sb, gb = lossgrad.loss_grad_from_trace(
             params, forward_batch(params, dataset.xs), ys)
     # one-row passes, not one batched pass: a gemm may round unlike a gemv
@@ -542,13 +545,11 @@ def last_layer_column_sets(params_init: NetworkParams, params_cur: NetworkParams
     columns whose activation pattern flipped between the two weight settings.
     Emitted as diagnostics only; their thresholds are proof artifacts.
     """
-    xs, ys = lossgrad._as_xy(dataset)
+    xs, ys = dataset.xs, dataset.ys
     bt0 = forward_batch(params_init, xs)
     btc = forward_batch(params_cur, xs)
     gamma = dataset.teacher.gamma
-    z = ys * btc.outputs
-    a_weights = -lossgrad.xent_deriv(z)            # a(x, y) in [0, 1]
-    es = float(np.mean(a_weights))
+    es, a_weights = lossgrad.surrogate(btc, ys)    # a(x, y) in [0, 1]
     n = xs.shape[0]
     pat0 = bt0.pattern(params_init.depth + 1)      # (n, m_last), init patterns
     x_l = bt0.activations[params_init.depth]       # (n, m_L), init activations
@@ -672,12 +673,7 @@ def probe_threshold_indices(params: NetworkParams, inputs,
             rows.append([beta, l, cmax, float(np.mean(counts)), basis])
         mean_counts.append(float(np.mean(counts_here)))
 
-    betas = np.asarray(beta_grid, dtype=np.float64)
-    mc = np.asarray(mean_counts)
-    mask = mc > 0
-    slope = float("nan")
-    if np.count_nonzero(mask) >= 2:
-        slope = float(np.polyfit(np.log(betas[mask]), np.log(mc[mask]), 1)[0])
+    slope = _loglog_slope(beta_grid, mean_counts)
     return ProbeReport(
         name="threshold_indices",
         measured={"fitted_cprime": fitted, "beta_slope": slope},
@@ -713,7 +709,7 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
     m = params.m
     L = params.depth
     if not 1 <= sparsity <= m:
-        raise ValueError(f"sparsity must be in [1, {m}], got {sparsity}")
+        raise ConfigError(f"sparsity must be in [1, {m}], got {sparsity}")
     ball = PerturbationBall(params, tau, rng.substream("ball"))
     basis = tau * math.sqrt(m) + math.sqrt(sparsity * math.log(m))
     rows = []
@@ -750,7 +746,7 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
     bt = forward_batch(params, dataset.xs)
     loss = lossgrad.loss_from_trace(bt, dataset.ys)
     n = dataset.n
-    surrogate = float(-numkit.pairwise_sum(lossgrad.xent_deriv(dataset.ys * bt.outputs)) / n)
+    surrogate = lossgrad.surrogate(bt, dataset.ys)[0]
     max_out = float(np.max(np.abs(bt.outputs)))
     basis = math.sqrt(math.log(max(n, 2)))
     fitted = max(loss, max_out) / basis
@@ -809,7 +805,7 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     largest first-order linearization gap at the ascent endpoints, and the
     fitted constant against  tau^(4/3) sqrt(m log m) + tau sqrt(m) / sqrt(n).
     """
-    xs, _ = lossgrad._as_xy(dataset)
+    xs = dataset.xs
     n = xs.shape[0]
     m = params.m
     step_size = tau / 10.0
@@ -874,11 +870,10 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
 def probe_surrogate_markov(params: NetworkParams, heldout,
                            band: float = 0.03) -> ProbeReport:
     """Held-out 0-1 error against twice the held-out surrogate loss."""
-    xs, ys = lossgrad._as_xy(heldout)
+    xs, ys = heldout.xs, heldout.ys
     bt = forward_batch(params, xs)
-    z = ys * bt.outputs
-    err = float(np.mean(z <= 0.0))
-    surrogate = float(-numkit.pairwise_sum(lossgrad.xent_deriv(z)) / xs.shape[0])
+    err = lossgrad.zero_one_error(bt, ys)
+    surrogate = lossgrad.surrogate(bt, ys)[0]
     bound = 2.0 * surrogate + band
     return ProbeReport(
         name="surrogate_markov",
@@ -991,6 +986,8 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
     stamp = {k: v for k, v in locals().items()
              if k not in ("L_grid", "arches", "cache_dir")}
     stamp["rng"] = [rng.seed, rng.stream]
+    if not L_grid or not arches:
+        raise ConfigError("a depth sweep needs at least one depth and one arch")
     ds = make_dataset(rng, d, M, gamma, n)
     rows = []
     steps_by_cell = {}

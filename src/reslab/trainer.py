@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lossgrad, numkit
 from .data import write_csv, write_json
-from .model import NetworkParams, forward_batch
+from .model import ConfigError, NetworkParams, forward_batch
 
 TRAJECTORY_COLUMNS = [
     "step", "loss", "surrogate", "train_err", "h_k", "max_dist_init",
@@ -46,11 +46,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+            raise ConfigError(f"step size must be positive, got {self.eta}")
         if self.steps < 0:
-            raise ValueError(f"step budget must be nonnegative, got {self.steps}")
+            raise ConfigError(f"step budget must be nonnegative, got {self.steps}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ConfigError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,6 @@ def step_distance(a: NetworkParams, b: NetworkParams) -> float:
     total = 0.0
     for l in range(1, a.depth + 2):
         diff = a.weights[l - 1] - b.weights[l - 1]
-        if not np.any(diff):
-            continue  # spectral norm of an exact zero block is zero
         total += a.layer_scale(l) * numkit.spectral_norm(diff)
     return total
 
@@ -129,7 +127,6 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns):
     grad_frob = grads.frobenius_norms()
     if not all(np.isfinite(g) for g in grad_frob):
         raise DivergenceError(step, "non-finite gradient")
-    train_err = float(np.mean(ys * bt.outputs <= 0.0))
     xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
     dist = tuple(numkit.frobenius_norm(w - w0)
                  for w, w0 in zip(params.weights, init_weights))
@@ -137,7 +134,7 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns):
         step=step,
         loss=loss,
         surrogate=surrogate,
-        train_err=train_err,
+        train_err=lossgrad.zero_one_error(bt, ys),
         grad_frob=grad_frob,
         dist_init=dist,
         flip_frac=_flip_fraction(bt, init_patterns) if init_patterns is not None else 0.0,
@@ -164,7 +161,7 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     which a layer leaves a ball around the initialization is the first
     record whose ``max(dist_init)`` exceeds the radius.
     """
-    xs, ys = lossgrad._as_xy(dataset)
+    xs, ys = dataset.xs, dataset.ys
     result = TrainResult(params=params, records=[])
     if cfg.steps == 0:
         return result  # zero budget: the untouched init, empty trajectory
@@ -203,9 +200,9 @@ def write_trajectory_csv(records, path) -> None:
     write_csv(path, TRAJECTORY_COLUMNS, (rec.csv_row() for rec in records))
 
 
-def write_summary_json(result: TrainResult, config_echo: dict, path) -> None:
+def write_summary_json(result: TrainResult, config: dict, path) -> None:
     summary = {
-        "config": config_echo,
+        "config": config,
         "best_step": result.best_step,
         "best_surrogate": result.best_surrogate,
         "stopped_early": result.stopped_early,

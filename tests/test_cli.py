@@ -77,6 +77,21 @@ class TestConfig:
         assert flags == {"--config", "--seed", "--out", "--arch", "--probes",
                          "--data", "--checkpoint"}
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "K", -1), ("train", "eta_scale", 0), ("train", "L", "4"),
+        ("train", "m_last", 31), ("probe", "sparsity", 0), ("probe", "sweep_L", [])])
+    def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
+        out = str(tmp_path / "o")
+        assert main(["gen-data", "--config", write_config(tmp_path / "c.json"),
+                     "--out", out]) == 0
+        bad = write_config(tmp_path / "bad.json", **{key: value})
+        probe = {"sparsity": "sparse_output", "sweep_L": "depth_sweep"}.get(key)
+        capsys.readouterr()
+        assert main([command, "--config", bad, "--out", out]
+                    + (["--probes", probe] if probe else [])) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+
     def test_removed_knobs_exit_4(self, tmp_path):
         assert main(["train", "--L", "4"]) == 4
         assert main(["train", "--config", write_config(tmp_path / "c.json", tau=0.1),

@@ -50,6 +50,12 @@ class TestInit:
             small_net(theta=0.9, L=3)  # theta * L > 1 for residual
         with pytest.raises(model.ConfigError):
             init_gaussian(RngState(0), 4, 3, 64, 8, 0.01)  # widths not same order
+        with pytest.raises(model.ConfigError):
+            small_net(L=0, theta=0.1)  # no layer between W_1 and W_{L+1}
+        with pytest.raises(model.ConfigError):
+            small_net(theta=-0.01)
+        with pytest.raises(model.ConfigError):
+            init_gaussian(RngState(0), 4, 3, 0, 0, 0.01)  # empty output width
 
     def test_init_weight_spectral_norms_in_band(self):
         # square Gaussian layers with entry variance 2/m concentrate near 2*sqrt(2)
@@ -60,6 +66,17 @@ class TestInit:
                 s = numkit.spectral_norm(w)
                 lo, hi = min(lo, s), max(hi, s)
         assert 2.3 <= lo <= hi <= 3.4
+
+    @pytest.mark.parametrize("L, skipped", [(1, []), (2, [2]), (5, [2, 3, 4, 5])])
+    def test_skip_rule_and_layer_scale(self, L, skipped):
+        # the skip sits on layers 2..L of a residual net, never at the two
+        # ends; a layer scales its gradient by theta exactly where it skips
+        for arch in ("residual", "plain"):
+            p = small_net(L=L, arch=arch)
+            want = skipped if arch == "residual" else []
+            assert [l for l in range(1, L + 2) if p.skip(l)] == want
+            assert [p.layer_scale(l) for l in range(1, L + 2)] == [
+                p.theta if l in want else 1.0 for l in range(1, L + 2)]
 
     def test_plain_theta_not_constrained_by_depth(self):
         p = init_gaussian(RngState(0), 4, 8, 8, 8, 0.5, arch="plain")
@@ -359,6 +376,18 @@ class TestCheckpoint:
             save_checkpoint(p.with_weights(w), path)
             with pytest.raises(model.CheckpointFormatError, match="layer 2"):
                 load_checkpoint(path)
+
+    def test_invalid_network_is_a_format_error(self, tmp_path):
+        # a header the network rejects (theta * L > 1) is a bad file, not a
+        # bad hyperparameter
+        path = tmp_path / "net.bin"
+        save_checkpoint(small_net(seed=30), path)
+        raw = path.read_bytes()
+        header, payload = raw.split(b"\n", 1)
+        header = header.replace(b'"theta": 0.0333', b'"theta": 0.9333')
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(model.CheckpointFormatError, match="theta"):
+            load_checkpoint(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

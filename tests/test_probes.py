@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +344,14 @@ class TestGradientBounds:
         assert 0 <= diag["A_prime"] <= params.m_last
         assert 0 <= diag["A_minus_A_prime"] <= diag["A"] <= params.m_last
 
+    def test_column_sets_surrogate_is_the_lab_surrogate(self, toy):
+        # the same trace gives the same bits as the trajectory's last record
+        rng, _, ds, params = toy
+        res = trainer.train(params, ds, trainer.TrainConfig(eta=0.05, steps=5))
+        got = probes.last_layer_column_sets(params, res.params, ds)["surrogate"]
+        want = lossgrad.surrogate(forward_batch(res.params, ds.xs), ds.ys)[0]
+        assert got.hex() == want.hex() == res.records[-1].surrogate.hex()
+
 
 class TestSeparability:
     def test_aligned_toy_fixture_reaches_half_margin(self):
@@ -522,7 +531,7 @@ class TestMarkov:
     def test_distribution_free_on_random_labels(self, toy):
         rng, _, ds, params = toy
         flip = RngState(71).signs(ds.n)
-        rep = probes.probe_surrogate_markov(params, (ds.xs, flip), band=0.05)
+        rep = probes.probe_surrogate_markov(params, replace(ds, ys=flip), band=0.05)
         assert rep.verdict == "hold"
 
 

@@ -5,10 +5,14 @@ import pytest
 
 from reslab import lossgrad, numkit, trainer
 from reslab.data import make_teacher, sample_dataset
-from reslab.model import init_gaussian
+from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
 from reslab.trainer import (TRAJECTORY_COLUMNS, TrainConfig, step_distance, train,
                             write_summary_json, write_trajectory_csv)
+
+
+def loss_grad(params, ds):
+    return lossgrad.loss_grad_from_trace(params, forward_batch(params, ds.xs), ds.ys)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +41,7 @@ class TestStepDistance:
     def test_matches_definition_on_gd_iterates(self, small_problem):
         params, ds = small_problem
         eta = 0.05
-        _, _, grads = lossgrad.batch_loss_grad(params, ds)
+        _, _, grads = loss_grad(params, ds)
         new_params = train(params, ds, TrainConfig(eta, steps=1)).params
         manual = 0.0
         for l in range(1, params.depth + 2):
@@ -58,7 +62,7 @@ class TestGdStep:
     def test_exact_update_rule(self, small_problem):
         params, ds = small_problem
         eta = 0.07
-        _, _, grads = lossgrad.batch_loss_grad(params, ds)
+        _, _, grads = loss_grad(params, ds)
         new_params = train(params, ds, TrainConfig(eta, steps=1)).params
         for w_new, w_old, g in zip(new_params.weights, params.weights, grads.layers):
             np.testing.assert_allclose(w_new + eta * g, w_old, atol=1e-15)
@@ -78,9 +82,9 @@ class TestGdStep:
             teacher = make_teacher(rng.substream("t"), 6, 32, 0.05)
             ds = sample_dataset(teacher, rng.substream("d"), 30, pilot_draws=2000)
             params = init_gaussian(rng.substream("i"), 6, 3, 64, 64, 0.1 / 3)
-            loss0, _, _ = lossgrad.batch_loss_grad(params, ds)
+            loss0, _, _ = loss_grad(params, ds)
             stepped = train(params, ds, TrainConfig(1.0 / 64, steps=1)).params
-            loss1, _, _ = lossgrad.batch_loss_grad(stepped, ds)
+            loss1, _, _ = loss_grad(stepped, ds)
             assert loss1 < loss0
 
 
@@ -96,7 +100,7 @@ class TestTrain:
         res = train(params, ds, TrainConfig(eta=0.05, steps=5))
         assert [r.step for r in res.records] == list(range(6))
         assert res.records[0].loss == pytest.approx(
-            lossgrad.batch_loss_grad(params, ds)[0])
+            loss_grad(params, ds)[0])
         assert max(res.records[0].dist_init) == 0.0
 
     def test_best_step_is_argmin_surrogate(self, small_problem):
@@ -130,7 +134,7 @@ class TestTrain:
         params, ds = small_problem
         eta = 0.05
         res = train(params, ds, TrainConfig(eta=eta, steps=2))
-        _, _, grads = lossgrad.batch_loss_grad(params, ds)
+        _, _, grads = loss_grad(params, ds)
         manual = eta * sum(params.layer_scale(l) *
                            numkit.spectral_norm(grads.layers[l - 1])
                            for l in range(1, params.depth + 2))
