@@ -61,6 +61,9 @@ DEFAULTS = {
     "surrogate_target": 0.3,
 }
 
+# The type of each key whose default is null, which stays allowed.
+NULLABLE = {"m_last": 0, "stop_surrogate": 0.0, "data": "", "checkpoint": ""}
+
 PROBE_NAMES = [
     "activation_norms", "input_lipschitz", "weight_lipschitz_flips",
     "semismoothness", "gradient_bounds", "separability", "threshold_indices",
@@ -98,14 +101,24 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["m_last"] is None:
         cfg["m_last"] = cfg["m"]
     for key, value in cfg.items():
-        default = DEFAULTS["m" if key == "m_last" else key]
-        if default is None:
-            continue  # a path, or stop_surrogate
-        want = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, want):
+        like = DEFAULTS[key]
+        if like is None:
+            if value is None:
+                continue
+            like = NULLABLE[key]
+        if _mistyped(value, like) or (isinstance(like, list) and any(
+                _mistyped(item, like[0]) for item in value)):
             raise UsageError(f"config value {key}={value!r} does not have the type "
-                             f"of its default {default!r}")
+                             f"of {like!r}")
+    if cfg["probe_inputs"] < 1:
+        raise UsageError(f"probe_inputs must be at least 1, got {cfg['probe_inputs']}")
     return cfg
+
+
+def _mistyped(value, like) -> bool:
+    """An int passes for a float; a bool passes for nothing."""
+    want = (int, float) if isinstance(like, float) else type(like)
+    return isinstance(value, bool) or not isinstance(value, want)
 
 
 def resolved_theta(cfg) -> float:

@@ -6,11 +6,13 @@ The gradient of the network output with respect to layer l is rank one,
     g_l = vᵀ H_{l+1}^{L+1},   s_l = theta on layers 2..L, 1 at the ends,
 
 so batch gradients are sums of rank-one terms, accumulated here by a single
-matmul per layer in fixed sample order.  Each masked backward row block
-g_l ⊙ sigma_l is formed once and serves both the backward recursion and
-the layer gradient.  Only the dense layer gradients are kept, not their
-factors; the spectral norms behind ``h_k`` are taken on them by the lab's
-one spectral-norm routine, ``numkit.spectral_norm``.  The surrogate loss
+matmul per layer in fixed sample order.  The backward recursion is one
+stream that hands out each masked row block g_l ⊙ sigma_l as it forms it,
+so a block serves the recursion and its layer's product and is dropped.
+Only the dense layer gradients are kept; the caller owns them, and a step
+that writes the next weights into them consumes the gradient.  The
+spectral norms behind ``h_k`` are taken on them by the lab's one
+spectral-norm routine, ``numkit.spectral_norm``.  The surrogate loss
 and the 0-1 error of a trace are defined here once.  A central
 finite-difference oracle, which reports entries whose probes flip an
 activation pattern (the output is only piecewise linear in each weight),
@@ -67,19 +69,18 @@ class GradientSet:
         return tuple(numkit.spectral_norm(g) for g in self.layers)
 
 
-def _backward_rows(params: NetworkParams, bt: BatchTrace) -> tuple:
-    """Per-sample backward rows g_l = vᵀ H_{l+1}^{L+1}, masked by the
-    activation patterns: masked[l] = g_l ⊙ sigma_l for l = 1..L+1
-    (masked[0] unused), and the unmasked g_1."""
-    L = params.depth
-    masked = [None] * (L + 2)
+def _backward_rows(params: NetworkParams, bt: BatchTrace):
+    """Yields (l, g_l, g_l ⊙ sigma_l) for l = L+1 down to 1, with g_l =
+    vᵀ H_{l+1}^{L+1} the per-sample backward rows; the last item carries
+    the unmasked g_1."""
     g = np.broadcast_to(params.v, (bt.n, params.m_last))
-    for l in range(L + 1, 1, -1):
-        masked[l] = g * bt.pattern(l)
-        back = masked[l] @ params.weights[l - 1].T
-        g = g + params.theta * back if params.skip(l) else back
-    masked[1] = g * bt.pattern(1)
-    return masked, g
+    for l in range(params.depth + 1, 0, -1):
+        masked = g * bt.pattern(l)
+        yield l, g, masked
+        if l > 1:
+            back = masked @ params.weights[l - 1].T
+            g = g + params.theta * back if params.skip(l) else back
+            del back  # not held through the next yield
 
 
 def output_gradient(params: NetworkParams, trace: BatchTrace, l: int) -> np.ndarray:
@@ -88,20 +89,21 @@ def output_gradient(params: NetworkParams, trace: BatchTrace, l: int) -> np.ndar
     L = params.depth
     if not 1 <= l <= L + 1:
         raise IndexError(f"layer {l} out of range 1..{L + 1}")
-    b = _backward_rows(params, trace)[0][l][0]
+    b = next(m for k, _, m in _backward_rows(params, trace) if k == l)[0]
     a = trace.activations[l - 1][0]
     return params.layer_scale(l) * np.outer(a, b)
 
 
 def batch_output_grad(params: NetworkParams, bt: BatchTrace,
                       weights: np.ndarray) -> GradientSet:
-    """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i)."""
-    masked = _backward_rows(params, bt)[0]
-    layers = []
+    """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i),
+    each layer's product taken as its masked block leaves the stream."""
     w = np.asarray(weights, dtype=np.float64)
-    for l in range(1, params.depth + 2):
+    layers = [None] * (params.depth + 1)
+    for l, _, masked in _backward_rows(params, bt):
         a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
-        layers.append(a.T @ masked[l])
+        layers[l - 1] = a.T @ masked
+        del a  # not held while the stream forms the next block
     return GradientSet(tuple(layers))
 
 

@@ -339,14 +339,15 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
 # semismoothness of the output and the empirical loss
 # ---------------------------------------------------------------------------
 
-def _linearization_terms(ref: NetworkParams, bt, masked, deltas) -> np.ndarray:
+def _linearization_terms(ref: NetworkParams, bt, rows, deltas) -> np.ndarray:
     """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized, from
-    ``ref``'s masked backward rows at ``bt`` (``lossgrad._backward_rows``)."""
-    total = np.zeros(bt.n)
-    for l in range(1, ref.depth + 2):
+    ``rows``, the items of ``lossgrad._backward_rows(ref, bt)`` (the stream
+    or a list of it), with the layer terms added for l = 1..L+1."""
+    terms = [None] * (ref.depth + 1)
+    for l, _, masked in rows:
         a = bt.activations[l - 1]
-        total += ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * masked[l], axis=1)
-    return total
+        terms[l - 1] = ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * masked, axis=1)
+    return sum(terms, np.zeros(bt.n))
 
 
 def flip_targeted_draw(ball: PerturbationBall, x, g) -> NetworkParams:
@@ -427,15 +428,15 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     centers = []
     for x in xs[:draws]:
         bt = forward_batch(params, x[None, :])
-        centers.append((bt, *lossgrad._backward_rows(params, bt)))
+        centers.append((bt, list(lossgrad._backward_rows(params, bt))))
     rows = []
 
     def trial(kind, wa, i):
-        btb, masked, _ = centers[i]
+        btb, center_rows = centers[i]
         h = trainer.step_distance(wa, params)
         deltas = [a - b for a, b in zip(wa.weights, params.weights)]
         bta = forward_batch(wa, xs[i][None, :])
-        lin = _linearization_terms(params, btb, masked, deltas)
+        lin = _linearization_terms(params, btb, center_rows, deltas)
         resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
         flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
         basis_f = coef_h * h + math.sqrt(m) * h * h
@@ -452,8 +453,8 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
 
     for t in range(draws):
         trial("random", ball.draw(), t % xs.shape[0])
-    for i, (_, _, g) in enumerate(centers):
-        trial("targeted", flip_targeted_draw(ball, xs[i], g[0]), i)
+    for i, (_, center_rows) in enumerate(centers):  # last row: unmasked g_1
+        trial("targeted", flip_targeted_draw(ball, xs[i], center_rows[-1][1][0]), i)
 
     ratios_f = [r[4] / r[5] for r in rows if r[5] > 0]
     ratios_loss = [r[6] for r in rows if not math.isnan(r[6])]
@@ -465,7 +466,7 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     btc = forward_batch(wc, xs)
     zero = [np.zeros_like(w) for w in wc.weights]
     control = btc.outputs - btc.outputs - _linearization_terms(
-        wc, btc, lossgrad._backward_rows(wc, btc)[0], zero)
+        wc, btc, lossgrad._backward_rows(wc, btc), zero)
     control_residual = float(np.max(np.abs(control)))
 
     ok = control_residual <= 1e-12
@@ -771,26 +772,61 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
 
 def _project_to_ball(params: NetworkParams, center: NetworkParams,
                      tau: float) -> NetworkParams:
-    new = []
+    """w0 + clip(w - w0) into the per-layer Frobenius tau-ball around
+    ``center``, worked out in ``params``' own buffers: it consumes
+    ``params``, which must own them, as ``_ascent_step``'s result does."""
     for w, w0 in zip(params.weights, center.weights):
-        delta = w - w0
-        norm = numkit.frobenius_norm(delta)
+        np.subtract(w, w0, out=w)
+        norm = numkit.frobenius_norm(w)
         if norm > tau:
-            delta = delta * (tau / norm) if tau > 0 else np.zeros_like(delta)
-        new.append(w0 + delta)
-    return params.with_weights(new)
+            if tau > 0:
+                w *= tau / norm
+            else:
+                w.fill(0.0)
+        np.add(w0, w, out=w)
+    return params
 
 
 def _ascent_step(params: NetworkParams, bt, weights, step_size) -> NetworkParams:
     """``params`` moved by ``step_size`` along sum_i weights_i grad f(x_i).
 
-    The step's fresh buffers become the new weights.  The gradient is freed
-    on return, so it is not held through the projection and the next step;
-    that saves more peak memory than the center rows the ascent keeps cost.
+    The gradient's own buffers take the new weights, so the result owns
+    them; ``params``' weights are never written.
     """
     grads = lossgrad.batch_output_grad(params, bt, weights)
-    steps = [g * step_size for g in grads.layers]
-    return params.with_weights(np.add(w, s, out=s) for w, s in zip(params.weights, steps))
+    for w, g in zip(params.weights, grads.layers):
+        g *= step_size
+        np.add(w, g, out=g)
+    return params.with_weights(grads.layers)
+
+
+def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
+    """One draw of ``rademacher_estimate``: the best centered value of the
+    ascent from ``params`` (trace ``bt0``) and the linearization gap at its
+    endpoint, or None on divergence.  A trace holds its iterate, so each
+    is dropped once its gradient is taken."""
+    n = xs.shape[0]
+    center_obj = float(xi @ bt0.outputs) / n
+    current = params
+    best = 0.0  # value of the center itself, post-centering
+    for _ in range(steps):
+        bt = forward_batch(current, xs)
+        obj = float(xi @ bt.outputs) / n - center_obj
+        if not np.isfinite(obj):
+            return None
+        best = max(best, obj)
+        current = _ascent_step(current, bt, xi / n, step_size)
+        del bt
+        current = _project_to_ball(current, params, tau)
+    outputs = forward_batch(current, xs).outputs
+    obj_end = float(xi @ outputs) / n - center_obj
+    if np.isfinite(obj_end):
+        best = max(best, obj_end)
+    # first-order linearization gap at the endpoint
+    deltas = [w - w0 for w, w0 in zip(current.weights, params.weights)]
+    lin = _linearization_terms(params, bt0, lossgrad._backward_rows(params, bt0),
+                               deltas)
+    return best, float(np.max(np.abs(outputs - (bt0.outputs + lin))))
 
 
 def rademacher_estimate(params: NetworkParams, tau: float, dataset,
@@ -810,37 +846,17 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     m = params.m
     step_size = tau / 10.0
     bt0 = forward_batch(params, xs)
-    masked0 = lossgrad._backward_rows(params, bt0)[0]
     values = []
     rows = []
     gap_max = 0.0
     dropped = 0
     for t in range(xi_draws):
         xi = rng.substream(f"xi/{t}").signs(n)
-        center_obj = float(xi @ bt0.outputs) / n
-        current = params
-        best = 0.0  # value of the center itself, post-centering
-        diverged = False
-        for _ in range(ascent_steps):
-            bt = forward_batch(current, xs)
-            obj = float(xi @ bt.outputs) / n - center_obj
-            if not np.isfinite(obj):
-                diverged = True
-                break
-            best = max(best, obj)
-            current = _project_to_ball(_ascent_step(current, bt, xi / n, step_size),
-                                       params, tau)
-        if diverged:
+        ascent = _ascend(params, tau, xs, bt0, xi, step_size, ascent_steps)
+        if ascent is None:
             dropped += 1
             continue
-        bt_end = forward_batch(current, xs)
-        obj_end = float(xi @ bt_end.outputs) / n - center_obj
-        if np.isfinite(obj_end):
-            best = max(best, obj_end)
-        # first-order linearization gap at the endpoint
-        deltas = [w - w0 for w, w0 in zip(current.weights, params.weights)]
-        lin = _linearization_terms(params, bt0, masked0, deltas)
-        gap = float(np.max(np.abs(bt_end.outputs - (bt0.outputs + lin))))
+        best, gap = ascent
         gap_max = max(gap_max, gap)
         values.append(best)
         rows.append([t, best, gap])

@@ -146,11 +146,13 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns):
 
 def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
                   eta: float) -> NetworkParams:
-    # each fresh step buffer becomes the new weight; the old weights are
-    # never written, since the first iterate's are the initialization
-    steps = [g * eta for g in grads.layers]
-    return params.with_weights(
-        np.subtract(w, s, out=s) for w, s in zip(params.weights, steps))
+    """W_l - eta * grad_l, written into the gradient's own buffers: it
+    consumes ``grads``, which must not be read again.  ``params``' weights
+    are never written, since the first iterate's are the initialization."""
+    for w, g in zip(params.weights, grads.layers):
+        g *= eta
+        np.subtract(w, g, out=g)
+    return params.with_weights(grads.layers)
 
 
 def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:

@@ -79,18 +79,37 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, key, value", [
         ("train", "K", -1), ("train", "eta_scale", 0), ("train", "L", "4"),
-        ("train", "m_last", 31), ("probe", "sparsity", 0), ("probe", "sweep_L", [])])
+        ("train", "m_last", 31), ("probe", "sparsity", 0), ("probe", "sweep_L", []),
+        # a null default, and list elements, are typed too
+        ("train", "stop_surrogate", "0.1"), ("probe", "sweep_L", ["4"]),
+        ("probe", "sweep_arch", [None]), ("probe", "tau_grid", ["0.1"]),
+        ("probe", "beta_grid", [True])])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
         out = str(tmp_path / "o")
         assert main(["gen-data", "--config", write_config(tmp_path / "c.json"),
                      "--out", out]) == 0
         bad = write_config(tmp_path / "bad.json", **{key: value})
-        probe = {"sparsity": "sparse_output", "sweep_L": "depth_sweep"}.get(key)
+        probe = {"sparsity": "sparse_output", "sweep_L": "depth_sweep",
+                 "sweep_arch": "depth_sweep", "tau_grid": "weight_lipschitz_flips",
+                 "beta_grid": "threshold_indices"}.get(key)
         capsys.readouterr()
         assert main([command, "--config", bad, "--out", out]
                     + (["--probes", probe] if probe else [])) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
+
+    @pytest.mark.parametrize("probe", ["activation_norms", "input_lipschitz",
+                                       "threshold_indices"])
+    def test_no_probe_inputs_exits_4(self, tmp_path, capsys, probe):
+        # with no inputs these probes would reduce over an empty batch, or
+        # report a hold over zero pairs
+        bad = write_config(tmp_path / "bad.json", probe_inputs=0)
+        capsys.readouterr()
+        assert main(["probe", "--config", bad, "--out", str(tmp_path / "o"),
+                     "--probes", probe]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_removed_knobs_exit_4(self, tmp_path):
         assert main(["train", "--L", "4"]) == 4

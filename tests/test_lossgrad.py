@@ -162,7 +162,7 @@ class TestOutputGradient:
         x = unit(RngState(10).standard_normal(4))
         t = forward(p, x)
         bt = forward_batch(p, x[None, :])
-        masked = lossgrad._backward_rows(p, bt)[0]
+        masked = {l: rows for l, _, rows in lossgrad._backward_rows(p, bt)}
         for l in range(1, p.depth + 2):
             g = output_gradient(p, t, l)
             a = t.activations[l - 1][0]
@@ -292,6 +292,18 @@ class TestBatchLossGrad:
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_gradient_holds_few_row_blocks(self, arch, traced_peak):
+        # each masked block serves its layer's product as it leaves the
+        # stream and is dropped: beyond the returned layers, the traced peak
+        # stays within six n x m row blocks (holding all L+1 measured 19)
+        p = net(12, d=10, L=16, m=64, m_last=64, arch=arch)
+        xs, _ = self.make_data(p, 50, seed=93)
+        bt = forward_batch(p, xs)
+        w = RngState(94).standard_normal(50)
+        grads, peak = traced_peak(lambda: batch_output_grad(p, bt, w))
+        assert peak - sum(g.nbytes for g in grads.layers) <= 6 * 50 * 64 * 8
 
     def test_oracle_reports_flips_itself_in_three_passes(self, monkeypatch):
         # a flip-free entry costs the base pass and the two probes; an entry

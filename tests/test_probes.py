@@ -276,8 +276,9 @@ class TestSemismoothness:
         for tau in (0.0, 0.001, 0.01, 0.1):
             ball = PerturbationBall(params, tau, rng.substream("ssball"))
             for x in xs:
-                g = lossgrad._backward_rows(params, forward_batch(params, x[None, :]))[1][0]
-                wa = probes.flip_targeted_draw(ball, x, g)
+                bt = forward_batch(params, x[None, :])
+                *_, (_, g, _) = lossgrad._backward_rows(params, bt)  # ends with g_1
+                wa = probes.flip_targeted_draw(ball, x, g[0])
                 step = wa.weights[0] - params.weights[0]
                 assert numkit.frobenius_norm(step) <= tau
                 assert numkit.frobenius_norm(step) >= tau * (1.0 - 1e-9)
@@ -484,21 +485,92 @@ class TestRademacher:
                                          xi_draws=4, ascent_steps=5)
         assert rep.measured["estimate"] == 0.0
 
-    def test_center_rows_formed_once_per_call(self, toy, monkeypatch):
-        # one backward pass per ascent step, plus the center's rows once
+    def test_center_rows_streamed_once_per_draw(self, toy, monkeypatch):
+        # one backward pass per ascent step, plus the center's rows once per
+        # draw, streamed at its endpoint rather than held through the probe
         rng, _, ds, params = toy
-        calls = []
+        traces = []
         rows = lossgrad._backward_rows
 
         def counted(p, bt):
-            calls.append(p)
+            traces.append(bt)
             return rows(p, bt)
 
         monkeypatch.setattr(lossgrad, "_backward_rows", counted)
         rep = probes.rademacher_estimate(params, 0.1, ds, rng.substream("rc"),
                                          xi_draws=3, ascent_steps=4)
         assert rep.measured["dropped"] == 0
-        assert len(calls) == 1 + 3 * 4
+        assert len(traces) == 3 + 3 * 4
+        center = traces[-1]
+        assert [i for i, bt in enumerate(traces) if bt is center] == [4, 9, 14]
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_streamed_linearization_bits_match_list_formula(self, toy, arch):
+        # the per-layer n-vectors arrive from layer L+1 down but are added
+        # for l = 1..L+1, as the formula over a list of all rows adds them
+        rng, _, ds, params = toy
+        params = replace(params, arch=arch)
+        bt = forward_batch(params, ds.xs)
+        deltas = [0.01 * rng.substream(f"lin/{l}").standard_normal(w.shape)
+                  for l, w in enumerate(params.weights)]
+        L = params.depth
+        masked = [None] * (L + 2)
+        g = np.broadcast_to(params.v, (bt.n, params.m_last))
+        for l in range(L + 1, 1, -1):
+            masked[l] = g * bt.pattern(l)
+            back = masked[l] @ params.weights[l - 1].T
+            g = g + params.theta * back if params.skip(l) else back
+        masked[1] = g * bt.pattern(1)
+        want = np.zeros(bt.n)
+        for l in range(1, L + 2):
+            want += params.layer_scale(l) * np.sum(
+                (bt.activations[l - 1] @ deltas[l - 1]) * masked[l], axis=1)
+        for rows in (lossgrad._backward_rows(params, bt),
+                     list(lossgrad._backward_rows(params, bt))):
+            got = probes._linearization_terms(params, bt, rows, deltas)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 3.0, 10.0])
+    def test_projection_bits_match_clip_formula(self, toy, tau):
+        # the projection works inside the stepped buffers: bit for bit
+        # w0 + clip(w - w0), with the center untouched
+        rng, _, _, params = toy
+        moved = [w + 0.1 * rng.substream(f"proj/{l}").standard_normal(w.shape)
+                 for l, w in enumerate(params.weights)]
+        want = []
+        for w, w0 in zip(moved, params.weights):
+            delta = w - w0
+            norm = numkit.frobenius_norm(delta)
+            if norm > tau:
+                delta = delta * (tau / norm) if tau > 0 else np.zeros_like(delta)
+            want.append(w0 + delta)
+        center = [w.tobytes() for w in params.weights]
+        got = probes._project_to_ball(
+            params.with_weights(w.copy() for w in moved), params, tau)
+        assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
+        assert [w.tobytes() for w in params.weights] == center
+
+    def test_ascent_step_bits_match_formula(self, toy):
+        rng, _, ds, params = toy
+        bt = forward_batch(params, ds.xs)
+        xi = rng.substream("step").signs(ds.n) / ds.n
+        grads = lossgrad.batch_output_grad(params, bt, xi)
+        want = [w + g * 0.01 for w, g in zip(params.weights, grads.layers)]
+        got = probes._ascent_step(params, bt, xi, 0.01)
+        assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
+
+    def test_ascent_holds_few_parameter_sets(self, traced_peak):
+        # a step's gradient becomes its iterate, each trace is dropped once
+        # its gradient is taken, and the center's rows are streamed: the
+        # traced peak stays within six parameter sets (8.8 when all held)
+        rng = RngState(3)
+        teacher = make_teacher(rng.substream("t"), 10, 32, 0.05)
+        ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
+        params = init_gaussian(rng.substream("i"), 10, 16, 64, 64, 0.1 / 16)
+        rep, peak = traced_peak(lambda: probes.rademacher_estimate(
+            params, 0.1, ds, rng.substream("xi"), xi_draws=3, ascent_steps=4))
+        assert rep.measured["dropped"] == 0
+        assert peak <= 6 * sum(w.nbytes for w in params.weights)
 
     def test_nondecreasing_in_tau_with_shared_draws(self, toy):
         rng, _, ds, params = toy

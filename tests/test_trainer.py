@@ -67,6 +67,19 @@ class TestGdStep:
         for w_new, w_old, g in zip(new_params.weights, params.weights, grads.layers):
             np.testing.assert_allclose(w_new + eta * g, w_old, atol=1e-15)
 
+    def test_update_bits_match_formula(self, small_problem):
+        # the step is written into the gradient's own buffers, bit for bit
+        # w - eta * g, and the old weights are left as they were
+        params, ds = small_problem
+        eta = 0.07
+        _, _, grads = loss_grad(params, ds)
+        want = [w - eta * g for w, g in zip(params.weights, grads.layers)]
+        before = [w.tobytes() for w in params.weights]
+        new = trainer._apply_update(params, grads, eta)
+        assert all(a is b for a, b in zip(new.weights, grads.layers))
+        assert [w.tobytes() for w in new.weights] == [w.tobytes() for w in want]
+        assert [w.tobytes() for w in params.weights] == before
+
     def test_dead_network_is_fixed_point(self, small_problem):
         params, ds = small_problem
         dead = params.with_weights(-np.abs(w) for w in params.weights)
