@@ -12,8 +12,10 @@ so a block serves the recursion and its layer's product and is dropped.
 Only the dense layer gradients are kept; the caller owns them, and a step
 that writes the next weights into them consumes the gradient.  The
 spectral norms behind ``h_k`` are taken on them by the lab's one
-spectral-norm routine, ``numkit.spectral_norm``.  The surrogate loss
-and the 0-1 error of a trace are defined here once.  A central
+spectral-norm routine, ``numkit.spectral_norm``.  The loss, the
+surrogate loss and the 0-1 error are defined here once, as functions of
+the network outputs, so a caller that needs no gradient needs no trace
+(``model.forward_outputs``).  A central
 finite-difference oracle, which reports entries whose probes flip an
 activation pattern (the output is only piecewise linear in each weight),
 provides the independent check.
@@ -107,46 +109,49 @@ def batch_output_grad(params: NetworkParams, bt: BatchTrace,
     return GradientSet(tuple(layers))
 
 
-def loss_from_trace(bt: BatchTrace, ys: np.ndarray) -> float:
-    """Empirical cross-entropy loss (the mean over samples) of an existing
-    forward trace.
+def empirical_loss(outputs: np.ndarray, ys: np.ndarray) -> float:
+    """Empirical cross-entropy loss (the mean over samples) of the network
+    outputs f(x_i).
 
-    The one place the loss is computed: ``loss_grad_from_trace`` calls it,
-    and callers that need only the loss call it alone, with no backward
-    pass.
+    The one place the loss is computed: ``loss_grad_from_trace`` calls it
+    on a trace's outputs, and callers that need only the loss call it
+    alone, with no backward pass and, through ``model.forward_outputs``,
+    no trace.
     """
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.shape != (bt.n,):
-        raise DataError(f"labels have shape {ys.shape}, expected ({bt.n},)")
-    if bt.n == 0:
+    n = outputs.shape[0]
+    if ys.shape != (n,):
+        raise DataError(f"labels have shape {ys.shape}, expected ({n},)")
+    if n == 0:
         raise DataError("empty batch")
     if not np.all(np.abs(ys) == 1.0):
         raise DataError("labels must be +1 or -1")
-    return numkit.pairwise_sum(xent(ys * bt.outputs)) / bt.n
+    return numkit.pairwise_sum(xent(ys * outputs)) / n
 
 
-def surrogate(bt: BatchTrace, ys: np.ndarray) -> tuple:
-    """The surrogate loss of a trace, the mean of -l'(y f) through
-    ``numkit.pairwise_sum`` and always inside (0, 1), with its per-sample
-    terms -l'(y_i f(x_i)).  The lab's one definition of the surrogate."""
-    terms = -xent_deriv(ys * bt.outputs)
-    return numkit.pairwise_sum(terms) / bt.n, terms
+def surrogate(outputs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The surrogate loss of the outputs f(x_i), the mean of -l'(y f)
+    through ``numkit.pairwise_sum`` and always inside (0, 1), with its
+    per-sample terms -l'(y_i f(x_i)).  The lab's one definition of the
+    surrogate."""
+    terms = -xent_deriv(ys * outputs)
+    return numkit.pairwise_sum(terms) / outputs.shape[0], terms
 
 
-def zero_one_error(bt: BatchTrace, ys: np.ndarray) -> float:
+def zero_one_error(outputs: np.ndarray, ys: np.ndarray) -> float:
     """Fraction of samples with y f(x) <= 0: a tie at zero is an error."""
-    return float(np.mean(ys * bt.outputs <= 0.0))
+    return float(np.mean(ys * outputs <= 0.0))
 
 
 def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
     """Loss, surrogate, and loss gradient reusing an existing forward trace.
 
-    The loss comes from ``loss_from_trace`` and the surrogate from
+    The loss comes from ``empirical_loss`` and the surrogate from
     ``surrogate``, whose per-sample terms weight the one
     ``batch_output_grad``.
     """
-    loss = loss_from_trace(bt, ys)
-    value, terms = surrogate(bt, ys)
+    loss = empirical_loss(bt.outputs, ys)
+    value, terms = surrogate(bt.outputs, ys)
     grads = batch_output_grad(params, bt, -terms * ys / bt.n)
     return loss, value, grads
 

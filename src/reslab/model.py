@@ -10,9 +10,11 @@ Architecture, for input x on the unit sphere:
 with v a fixed ±1 vector (first half +1, second half −1).  The plain
 baseline replaces every layer by x_l = relu(W_lᵀ x_{l-1}).
 
-Forward evaluation records per-layer activations and the binary activation
-patterns sigma_l(x) (bit j set iff the pre-activation of unit j is strictly
-positive).  Frozen-pattern interlayer operators propagate a vector from
+Forward evaluation is one stream over the layers that hands out each
+layer's activations with its binary activation pattern sigma_l(x) (bit j
+set iff the pre-activation of unit j is strictly positive).  A trace keeps
+every layer; a caller that reads only outputs, or one layer at a time,
+holds two.  Frozen-pattern interlayer operators propagate a vector from
 layer l to layer l' through the linearization the patterns define.
 """
 
@@ -177,29 +179,47 @@ class BatchTrace:
         return self.patterns[l - 1]
 
 
-def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
-    """Forward pass over a batch of unit-norm rows."""
+def _forward_layers(params: NetworkParams, xs: np.ndarray):
+    """The forward stream: yields (l, x_l, sigma_l) for l = 0..L+1, x_0 the
+    checked inputs (with no pattern, None) and sigma_l the strict pattern of
+    layer l's pre-activations.  Each layer is formed in the buffer of its
+    own pre-activations and nothing is written after it is yielded, so a
+    caller that keeps every item holds a trace and one that keeps none
+    holds two layers."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[1] != params.d:
         raise ShapeError(f"inputs have dim {xs.shape[1]}, network expects {params.d}")
     _check_unit_rows(xs)
-    L = params.depth
-    acts = [xs]
-    pats = []
+    yield 0, xs, None
     h = xs
-    for l in range(1, L + 2):
+    for l in range(1, params.depth + 2):
         pre = h @ params.weights[l - 1]
         pat = pre > 0.0  # strict: ties at exactly zero count as inactive
-        inc = np.maximum(pre, 0.0)
-        inc += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
+        np.maximum(pre, 0.0, out=pre)
+        pre += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
         if params.skip(l):
-            h = h + params.theta * inc
-        else:
-            h = inc
+            pre *= params.theta
+            pre += h  # h + theta * relu(pre), bit for bit: + and * commute
+        h = pre
+        yield l, h, pat
+
+
+def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
+    """Forward pass over a batch of unit-norm rows: every item of the
+    forward stream, kept."""
+    acts, pats = [], []
+    for _, h, pat in _forward_layers(params, xs):
         acts.append(h)
         pats.append(pat)
-    outputs = acts[-1] @ params.v
-    return BatchTrace(params, tuple(acts), tuple(pats), outputs)
+    return BatchTrace(params, tuple(acts), tuple(pats[1:]), acts[-1] @ params.v)
+
+
+def forward_outputs(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
+    """f(x) for each row of ``xs``, bit for bit ``forward_batch(params,
+    xs).outputs``, holding two layers of the stream instead of a trace."""
+    for _, h, _ in _forward_layers(params, xs):
+        pass
+    return h @ params.v
 
 
 def _check_range(L: int, l: int, lp: int) -> None:

@@ -172,7 +172,8 @@ def spectral_norm(a: Matrix) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise EmptyShapeError(f"spectral_norm needs a nonempty matrix, got shape {a.shape}")
-    peak = float(np.max(np.abs(a)))
+    # max |a_ij| with no |a| temporary; NaN reaches both ends, so it stays
+    peak = float(max(a.max(), -a.min()))
     if not math.isfinite(peak):
         raise NumericDomainError("spectral_norm: non-finite entries")
     if peak == 0.0:

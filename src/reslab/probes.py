@@ -9,12 +9,18 @@ externally configured constant exists, the bound uses the fitted one and the
 interesting output is the fitted constant's stability across widths and
 depths, which the acceptance suite tracks.
 
+Ball probes hold one draw at a time: each draw or pair, and every trace
+that pins it, is dropped before the next is made.  Probes that read only
+outputs, or one layer at a time, take them from ``model.forward_outputs``
+or the forward stream and hold no trace.
+
 Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv`` and
 are recomputable from the details alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -24,8 +30,9 @@ import numpy as np
 
 from . import lossgrad, numkit, trainer
 from .data import MarginDataset, Teacher, make_dataset, write_csv, write_json
-from .model import (ConfigError, NetworkParams, forward_batch, init_gaussian,
-                    interlayer_apply, interlayer_norms)
+from .model import (ConfigError, NetworkParams, _forward_layers, forward_batch,
+                    forward_outputs, init_gaussian, interlayer_apply,
+                    interlayer_norms)
 from .numkit import RngState
 
 VERDICT_HOLD = "hold"
@@ -112,7 +119,8 @@ class PerturbationBall:
             radius = self.tau
             if self.rng.uniform() >= BOUNDARY_FRACTION:
                 radius = self.tau * (1.0 - float(self.rng.uniform()))  # in (0, tau]
-            new.append(self._place(w, direction * (radius / norm)))
+            direction *= radius / norm
+            new.append(self._place(w, direction))
         return self.center.with_weights(new)
 
     def shifted(self, deltas) -> NetworkParams:
@@ -314,6 +322,7 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
                 flips_here.append(flips)
                 rows.append([tau, t, l, dist, basis[l], flips,
                              m_l * tau ** (2.0 / 3.0)])
+            del wa, wb, bta, btb  # the next pair is drawn with this one gone
         mean_flips.append(float(np.mean(flips_here)))
 
     slope = _loglog_slope(tau_grid, mean_flips)  # over grid cells with any flips
@@ -339,14 +348,20 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
 # semismoothness of the output and the empirical loss
 # ---------------------------------------------------------------------------
 
+def _linear_term(ref: NetworkParams, bt, l: int, masked, delta) -> np.ndarray:
+    """Layer l's per-sample term tr[delta_lᵀ grad_{W_l} f_ref(x_i)] of the
+    linearization, with ``masked`` the block g_l ⊙ sigma_l that
+    ``lossgrad._backward_rows(ref, bt)`` hands out for layer l."""
+    return ref.layer_scale(l) * np.sum((bt.activations[l - 1] @ delta) * masked, axis=1)
+
+
 def _linearization_terms(ref: NetworkParams, bt, rows, deltas) -> np.ndarray:
     """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized, from
     ``rows``, the items of ``lossgrad._backward_rows(ref, bt)`` (the stream
     or a list of it), with the layer terms added for l = 1..L+1."""
     terms = [None] * (ref.depth + 1)
     for l, _, masked in rows:
-        a = bt.activations[l - 1]
-        terms[l - 1] = ref.layer_scale(l) * np.sum((a @ deltas[l - 1]) * masked, axis=1)
+        terms[l - 1] = _linear_term(ref, bt, l, masked, deltas[l - 1])
     return sum(terms, np.zeros(bt.n))
 
 
@@ -412,14 +427,19 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     loss-level residual is additionally fitted against the
     surrogate-weighted variant with an m h² second term.  That needs the
     loss gradient only at the center, one ``batch_output_grad``; each Wa
-    costs only a forward pass and ``lossgrad.loss_from_trace``.  Each
-    details row records the pair kind and the layer-1 units flipped at its
-    input.  A coincident-pair control asserts R == 0 exactly.
+    costs only ``model.forward_outputs`` and ``lossgrad.empirical_loss``.
+    A trial forms each layer difference Wa_l - Wb_l once, in layer order,
+    and takes its share of h, of the linear term and of the loss term from
+    it before forming the next; one draw is held at a time.  Each details
+    row records the pair kind and the layer-1 units flipped at its input.
+    A coincident-pair control, drawn once the center's loss gradient is
+    released, asserts R == 0 exactly.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     m = params.m
     ball = PerturbationBall(params, tau, rng.substream("ball"))
     coef_h = tau ** (1.0 / 3.0) * math.sqrt(m * math.log(m))
+    gb = None
     if dataset is not None:
         ys = dataset.ys
         lb, sb, gb = lossgrad.loss_grad_from_trace(
@@ -433,18 +453,26 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
 
     def trial(kind, wa, i):
         btb, center_rows = centers[i]
-        h = trainer.step_distance(wa, params)
-        deltas = [a - b for a, b in zip(wa.weights, params.weights)]
+        lin, lin_loss = np.zeros(btb.n), 0
+
+        def differences():  # each one serves h, lin and lin_loss, then goes
+            nonlocal lin, lin_loss
+            for (l, _, masked), w, w0 in zip(reversed(center_rows), wa.weights,
+                                             params.weights):
+                d = w - w0
+                lin = lin + _linear_term(params, btb, l, masked, d)
+                if gb is not None:
+                    lin_loss += float(np.sum(d * gb.layers[l - 1]))
+                yield d
+
+        h = trainer.step_distance(params, differences())
         bta = forward_batch(wa, xs[i][None, :])
-        lin = _linearization_terms(params, btb, center_rows, deltas)
         resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
         flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
         basis_f = coef_h * h + math.sqrt(m) * h * h
         loss_ratio = float("nan")
         if dataset is not None:
-            la = lossgrad.loss_from_trace(forward_batch(wa, dataset.xs), ys)
-            lin_loss = sum(float(np.sum(d * g))
-                           for d, g in zip(deltas, gb.layers))
+            la = lossgrad.empirical_loss(forward_outputs(wa, dataset.xs), ys)
             r_loss = la - lb - lin_loss
             basis_loss = coef_h * h * sb + m * h * h
             if basis_loss > 0:
@@ -462,9 +490,10 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     fit_loss = max(ratios_loss, default=-np.inf) if dataset is not None else float("nan")
 
     # coincident-pair control: residual must vanish identically
+    gb = None
     wc = ball.draw()
     btc = forward_batch(wc, xs)
-    zero = [np.zeros_like(w) for w in wc.weights]
+    zero = [np.broadcast_to(0.0, w.shape) for w in wc.weights]  # no storage
     control = btc.outputs - btc.outputs - _linearization_terms(
         wc, btc, lossgrad._backward_rows(wc, btc), zero)
     control_residual = float(np.max(np.abs(control)))
@@ -550,7 +579,7 @@ def last_layer_column_sets(params_init: NetworkParams, params_cur: NetworkParams
     bt0 = forward_batch(params_init, xs)
     btc = forward_batch(params_cur, xs)
     gamma = dataset.teacher.gamma
-    es, a_weights = lossgrad.surrogate(btc, ys)    # a(x, y) in [0, 1]
+    es, a_weights = lossgrad.surrogate(btc.outputs, ys)  # a(x, y) in [0, 1]
     n = xs.shape[0]
     pat0 = bt0.pattern(params_init.depth + 1)      # (n, m_last), init patterns
     x_l = bt0.activations[params_init.depth]       # (n, m_L), init activations
@@ -613,13 +642,13 @@ def probe_separability(teacher: Teacher, params: NetworkParams,
     alpha = separability_direction(teacher, params)
     control = rng.standard_normal(alpha.shape[0])
     control /= np.linalg.norm(control)
-    bt = forward_batch(params, dataset.xs)
     ys = dataset.ys
     rows = []
     margins = []
     margins_ctl = []
-    for l in range(1, params.depth + 1):
-        acts = bt.activations[l]
+    # the hidden layers 1..L of the forward stream, one at a time
+    for l, acts, _ in itertools.islice(_forward_layers(params, dataset.xs),
+                                       1, params.depth + 1):
         margin = float(np.min(ys * (acts @ alpha)))
         margin_ctl = float(np.min(ys * (acts @ control)))
         margins.append(margin)
@@ -725,6 +754,7 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
                     for l in range(2, L + 2))
         fitted = max(fitted, worst / basis)
         rows.append([t, worst, basis])
+        del wt, trace  # the next draw is made with this one gone
     return ProbeReport(
         name="sparse_output",
         measured={"fitted_c1": fitted, "basis": basis},
@@ -744,11 +774,11 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
 
 def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
     """Loss and output magnitude at initialization against sqrt(log n)."""
-    bt = forward_batch(params, dataset.xs)
-    loss = lossgrad.loss_from_trace(bt, dataset.ys)
+    outputs = forward_outputs(params, dataset.xs)
+    loss = lossgrad.empirical_loss(outputs, dataset.ys)
     n = dataset.n
-    surrogate = lossgrad.surrogate(bt, dataset.ys)[0]
-    max_out = float(np.max(np.abs(bt.outputs)))
+    surrogate = lossgrad.surrogate(outputs, dataset.ys)[0]
+    max_out = float(np.max(np.abs(outputs)))
     basis = math.sqrt(math.log(max(n, 2)))
     fitted = max(loss, max_out) / basis
     return ProbeReport(
@@ -802,15 +832,16 @@ def _ascent_step(params: NetworkParams, bt, weights, step_size) -> NetworkParams
 
 def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
     """One draw of ``rademacher_estimate``: the best centered value of the
-    ascent from ``params`` (trace ``bt0``) and the linearization gap at its
-    endpoint, or None on divergence.  A trace holds its iterate, so each
-    is dropped once its gradient is taken."""
+    ascent from ``params`` (trace ``bt0``, which also takes the first step)
+    and the linearization gap at its endpoint, or None on divergence.  A
+    trace holds its iterate, so each is dropped once its gradient is
+    taken."""
     n = xs.shape[0]
     center_obj = float(xi @ bt0.outputs) / n
     current = params
     best = 0.0  # value of the center itself, post-centering
-    for _ in range(steps):
-        bt = forward_batch(current, xs)
+    for k in range(steps):
+        bt = bt0 if k == 0 else forward_batch(current, xs)
         obj = float(xi @ bt.outputs) / n - center_obj
         if not np.isfinite(obj):
             return None
@@ -818,7 +849,7 @@ def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
         current = _ascent_step(current, bt, xi / n, step_size)
         del bt
         current = _project_to_ball(current, params, tau)
-    outputs = forward_batch(current, xs).outputs
+    outputs = forward_outputs(current, xs)
     obj_end = float(xi @ outputs) / n - center_obj
     if np.isfinite(obj_end):
         best = max(best, obj_end)
@@ -887,9 +918,9 @@ def probe_surrogate_markov(params: NetworkParams, heldout,
                            band: float = 0.03) -> ProbeReport:
     """Held-out 0-1 error against twice the held-out surrogate loss."""
     xs, ys = heldout.xs, heldout.ys
-    bt = forward_batch(params, xs)
-    err = lossgrad.zero_one_error(bt, ys)
-    surrogate = lossgrad.surrogate(bt, ys)[0]
+    outputs = forward_outputs(params, xs)
+    err = lossgrad.zero_one_error(outputs, ys)
+    surrogate = lossgrad.surrogate(outputs, ys)[0]
     bound = 2.0 * surrogate + band
     return ProbeReport(
         name="surrogate_markov",

@@ -86,14 +86,25 @@ class TrainResult:
     steps_run: int = 0
 
 
-def step_distance(a: NetworkParams, b: NetworkParams) -> float:
-    """Spectral step distance h(a, b); zero iff the weights coincide."""
-    if a.widths != b.widths or a.d != b.d:
-        raise ValueError("networks have different shapes")
+def step_distance(params: NetworkParams, diffs) -> float:
+    """Spectral step distance h = sum_l s_l ||d_l||_2 of ``diffs``, the
+    per-layer differences d_l = W'_l - W_l of two weight collections
+    shaped like ``params``, in layer order l = 1..L+1, with s_l the layer
+    scale; zero iff every difference is.
+
+    ``diffs`` may be a generator: each difference is read once, as it
+    arrives, so a caller that forms them one at a time holds one.
+    """
+    layers = params.depth + 1
     total = 0.0
-    for l in range(1, a.depth + 2):
-        diff = a.weights[l - 1] - b.weights[l - 1]
-        total += a.layer_scale(l) * numkit.spectral_norm(diff)
+    l = 0
+    for l, d in enumerate(diffs, start=1):
+        if l > layers or d.shape != params.weights[l - 1].shape:
+            raise ValueError(f"difference {l} of shape {d.shape} does not match "
+                             f"the network's {layers} layers")
+        total += params.layer_scale(l) * numkit.spectral_norm(d)
+    if l != layers:
+        raise ValueError(f"{l} layer differences for {layers} layers")
     return total
 
 
@@ -134,7 +145,7 @@ def _evaluate(params, xs, ys, step, init_weights, init_patterns):
         step=step,
         loss=loss,
         surrogate=surrogate,
-        train_err=lossgrad.zero_one_error(bt, ys),
+        train_err=lossgrad.zero_one_error(bt.outputs, ys),
         grad_frob=grad_frob,
         dist_init=dist,
         flip_frac=_flip_fraction(bt, init_patterns) if init_patterns is not None else 0.0,

@@ -255,15 +255,15 @@ class TestBatchLossGrad:
             p = net(17, L=5, m=32, m_last=24, arch=arch)
             xs, ys = self.make_data(p, 40, seed=92)
             bt = forward_batch(p, xs)
-            alone = lossgrad.loss_from_trace(bt, ys)
+            alone = lossgrad.empirical_loss(bt.outputs, ys)
             loss, _, _ = lossgrad.loss_grad_from_trace(p, bt, ys)
             assert alone.hex() == loss.hex()
             want = numkit.pairwise_sum(xent(ys * bt.outputs)) / 40
             assert alone.hex() == want.hex()
         with pytest.raises(lossgrad.DataError):
-            lossgrad.loss_from_trace(bt, np.where(ys > 0, 1.0, 0.0))
+            lossgrad.empirical_loss(bt.outputs, np.where(ys > 0, 1.0, 0.0))
         with pytest.raises(lossgrad.DataError):
-            lossgrad.loss_from_trace(bt, ys[:-1])
+            lossgrad.empirical_loss(bt.outputs, ys[:-1])
 
     def test_output_grad_bits_match_unshared_formula(self):
         # each masked block rows[l] * sigma_l is formed once and shared by

@@ -207,6 +207,28 @@ class TestForward:
             np.testing.assert_array_equal(bt.outputs.view(np.uint64),
                                           (h @ p.v).view(np.uint64))
 
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_outputs_only_forward_matches_trace_bit_for_bit(self, arch):
+        p = small_net(seed=14, d=6, L=5, m=32, m_last=24, arch=arch)
+        xs = np.array([unit(r) for r in RngState(15).standard_normal((40, 6))])
+        got = model.forward_outputs(p, xs)
+        assert got.tobytes() == forward_batch(p, xs).outputs.tobytes()
+        with pytest.raises(model.ShapeError):
+            model.forward_outputs(p, xs[:, :5])
+        with pytest.raises(ValueError):
+            model.forward_outputs(p, 2.0 * xs)
+
+    def test_outputs_only_forward_holds_two_layers(self, traced_peak):
+        # a trace of 500 rows holds 18 layers of activations; the outputs
+        # need the current layer, the next one and its pattern
+        p = small_net(seed=16, d=10, L=16, m=64, m_last=64)
+        xs = np.array([unit(r) for r in RngState(17).standard_normal((500, 10))])
+        layer = xs.shape[0] * p.m * 8
+        _, peak = traced_peak(lambda: model.forward_outputs(p, xs))
+        assert peak <= 2.5 * layer
+        _, peak = traced_peak(lambda: forward_batch(p, xs))
+        assert peak >= 17 * layer
+
 
 class TestInterlayer:
     def test_identity_when_range_is_empty(self):

@@ -267,6 +267,17 @@ class TestSpectralNorm:
             a[1, 1] = bad
             with pytest.raises(numkit.NumericDomainError):
                 numkit.spectral_norm(a)
+        # at either end of the lab's shapes, whatever the other entries' sign
+        rng = numkit.RngState(8)
+        for shape in ((256, 256), (10, 256)):
+            base = rng.standard_normal(shape)
+            for bad in (np.nan, np.inf, -np.inf):
+                for at in ((0, 0), (shape[0] - 1, shape[1] - 1)):
+                    for sign in (1.0, -1.0):
+                        a = sign * base
+                        a[at] = bad
+                        with pytest.raises(numkit.NumericDomainError):
+                            numkit.spectral_norm(a)
 
     def test_does_not_depend_on_thread_count(self):
         # at 256x256 OpenBLAS runs gemv on every thread it is given; the

@@ -19,6 +19,14 @@ def sphere(rng, count, d):
 
 
 @pytest.fixture(scope="module")
+def deep():
+    """A net at the golden depth but width 64, with its parameter bytes."""
+    rng = RngState(3)
+    params = init_gaussian(rng.substream("i"), 10, 16, 64, 64, 0.1 / 16)
+    return rng, params, sum(w.nbytes for w in params.weights)
+
+
+@pytest.fixture(scope="module")
 def toy():
     rng = RngState(31)
     teacher = make_teacher(rng.substream("teacher"), 6, 32, 0.05)
@@ -216,6 +224,17 @@ class TestWeightLipschitzFlips:
         assert rep.verdict == "hold"
         assert rep.measured["fitted_c2"] > 0
 
+    def test_holds_one_pair_at_a_time(self, traced_peak, deep):
+        # a pair, its two traces and a draw's temporaries: below three
+        # parameter sets, which holding the last pair through the next
+        # draw exceeds (4.5 sets when it did)
+        rng, params, size = deep
+        xs = sphere(rng.substream("xw"), 4, params.d)
+        rep, peak = traced_peak(lambda: probes.probe_weight_lipschitz_and_flips(
+            params, rng.substream("bw"), xs, (0.1,), draws=3))
+        assert rep.trials == 3
+        assert peak < 3 * size
+
 
 class TestSemismoothness:
     def test_control_residual_exactly_zero(self, toy):
@@ -269,6 +288,58 @@ class TestSemismoothness:
         probes.probe_semismoothness(params, rng.substream("ssball"), xs,
                                     tau=0.1, draws=6, dataset=ds)
         assert sorted(passes) == sorted(rows) == sorted(x.tobytes() for x in xs)
+
+    def test_holds_one_draw_beyond_the_gradient(self, traced_peak, deep):
+        # the center's loss gradient and one draw, plus the center rows and
+        # a draw's temporaries: below three parameter sets (4.4 when the
+        # layer differences, a dataset trace and the control's zero
+        # matrices were all held)
+        rng, params, size = deep
+        teacher = make_teacher(rng.substream("t"), params.d, 32, 0.05)
+        ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
+        xs = sphere(rng.substream("xm"), 4, params.d)
+        rep, peak = traced_peak(lambda: probes.probe_semismoothness(
+            params, rng.substream("bm"), xs, tau=0.1, draws=4, dataset=ds))
+        assert rep.measured["control_residual"] == 0.0
+        assert peak < 3 * size
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_streamed_terms_match_list_formulas(self, toy, arch):
+        # each trial forms its layer differences once, in layer order, for
+        # h, the linear term and the loss term: bit for bit the formulas
+        # over a list of all 17 differences
+        rng, _, ds, params = toy
+        params = replace(params, arch=arch)
+        xs = sphere(rng.substream("xt"), 3, params.d)
+        tau, draws = 0.1, 4
+        rep = probes.probe_semismoothness(params, rng.substream("bt"), xs,
+                                          tau=tau, draws=draws, dataset=ds)
+        ball = PerturbationBall(params, tau, rng.substream("bt").substream("ball"))
+        lb, sb, gb = lossgrad.loss_grad_from_trace(params, forward_batch(params, ds.xs),
+                                                   ds.ys)
+        centers = [forward_batch(params, x[None, :]) for x in xs]
+        pairs = [(ball.draw(), t % 3) for t in range(draws)]
+        for i, bt in enumerate(centers):
+            *_, (_, g, _) = lossgrad._backward_rows(params, bt)
+            pairs.append((probes.flip_targeted_draw(ball, xs[i], g[0]), i))
+        m = params.m
+        coef_h = tau ** (1.0 / 3.0) * math.sqrt(m * math.log(m))
+        assert len(rep.details) == len(pairs)
+        for row, (wa, i) in zip(rep.details, pairs):
+            deltas = [a - b for a, b in zip(wa.weights, params.weights)]
+            h = 0.0
+            for l, d in enumerate(deltas, 1):
+                h += params.layer_scale(l) * numkit.spectral_norm(d)
+            bt = centers[i]
+            lin = probes._linearization_terms(
+                params, bt, list(lossgrad._backward_rows(params, bt)), deltas)
+            resid = float(forward_batch(wa, xs[i][None, :]).outputs[0]
+                          - bt.outputs[0] - lin[0])
+            la = lossgrad.empirical_loss(forward_batch(wa, ds.xs).outputs, ds.ys)
+            lin_loss = sum(float(np.sum(d * g)) for d, g in zip(deltas, gb.layers))
+            loss_ratio = (la - lb - lin_loss) / (coef_h * h * sb + m * h * h)
+            assert [row[3].hex(), row[4].hex(), row[6].hex()] == [
+                h.hex(), resid.hex(), loss_ratio.hex()]
 
     def test_targeted_pairs_stay_in_ball(self, toy):
         rng, _, _, params = toy
@@ -350,7 +421,7 @@ class TestGradientBounds:
         rng, _, ds, params = toy
         res = trainer.train(params, ds, trainer.TrainConfig(eta=0.05, steps=5))
         got = probes.last_layer_column_sets(params, res.params, ds)["surrogate"]
-        want = lossgrad.surrogate(forward_batch(res.params, ds.xs), ds.ys)[0]
+        want = lossgrad.surrogate(forward_batch(res.params, ds.xs).outputs, ds.ys)[0]
         assert got.hex() == want.hex() == res.records[-1].surrogate.hex()
 
 
@@ -427,6 +498,15 @@ class TestSparseOutput:
         with pytest.raises(ValueError):
             probes.probe_sparse_output(params, rng, 0.1, params.m + 1)
 
+    def test_holds_one_draw_at_a_time(self, traced_peak, deep):
+        # one draw, its one-row trace and a draw's temporaries: below two
+        # parameter sets (2.3 when the last draw was held through the next)
+        rng, params, size = deep
+        rep, peak = traced_peak(lambda: probes.probe_sparse_output(
+            params, rng.substream("bs"), 0.1, 8, trials=4))
+        assert rep.trials == 4
+        assert peak < 2 * size
+
     def test_fitted_constant_monotone_in_trials(self, toy):
         # a pointwise-max fit over a shared draw sequence can only grow as
         # trials accumulate
@@ -440,17 +520,21 @@ class TestSparseOutput:
 
 class TestLossAtInit:
     def test_one_forward_pass_and_no_gradient(self, toy, monkeypatch):
+        # one pass of the forward stream, read for its outputs: no trace
         _, _, ds, params = toy
-        passes, grads = [], []
+        passes, traces, grads = [], [], []
+        stream = model._forward_layers
         fwd, grad = probes.forward_batch, lossgrad.batch_output_grad
+        monkeypatch.setattr(model, "_forward_layers",
+                            lambda *a: passes.append(a) or stream(*a))
         monkeypatch.setattr(probes, "forward_batch",
-                            lambda *a: passes.append(a) or fwd(*a))
+                            lambda *a: traces.append(a) or fwd(*a))
         monkeypatch.setattr(lossgrad, "forward_batch",
-                            lambda *a: passes.append(a) or fwd(*a))
+                            lambda *a: traces.append(a) or fwd(*a))
         monkeypatch.setattr(lossgrad, "batch_output_grad",
                             lambda *a: grads.append(a) or grad(*a))
         rep = probes.probe_loss_at_init(params, ds)
-        assert len(passes) == 1 and grads == []
+        assert len(passes) == 1 and traces == [] and grads == []
         # the same numbers as the loss, surrogate and outputs of one
         # full-gradient evaluation
         loss, surrogate, _ = lossgrad.loss_grad_from_trace(
@@ -487,7 +571,8 @@ class TestRademacher:
 
     def test_center_rows_streamed_once_per_draw(self, toy, monkeypatch):
         # one backward pass per ascent step, plus the center's rows once per
-        # draw, streamed at its endpoint rather than held through the probe
+        # draw, streamed at its endpoint rather than held through the probe;
+        # the first step's pass is the center's own trace, not a new one
         rng, _, ds, params = toy
         traces = []
         rows = lossgrad._backward_rows
@@ -501,8 +586,8 @@ class TestRademacher:
                                          xi_draws=3, ascent_steps=4)
         assert rep.measured["dropped"] == 0
         assert len(traces) == 3 + 3 * 4
-        center = traces[-1]
-        assert [i for i, bt in enumerate(traces) if bt is center] == [4, 9, 14]
+        center = traces[-1]  # it also takes each draw's first step
+        assert [i for i, bt in enumerate(traces) if bt is center] == [0, 4, 5, 9, 10, 14]
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_streamed_linearization_bits_match_list_formula(self, toy, arch):
@@ -592,6 +677,17 @@ class TestRademacher:
 
 
 class TestMarkov:
+    def test_holds_no_trace(self, traced_peak, deep):
+        # the held-out error and surrogate read only the outputs
+        rng, params, _ = deep
+        teacher = make_teacher(rng.substream("t"), params.d, 32, 0.05)
+        heldout = sample_dataset(teacher, rng.substream("h"), 500, pilot_draws=5000)
+        rep, peak = traced_peak(lambda: probes.probe_surrogate_markov(params, heldout))
+        trace = forward_batch(params, heldout.xs)
+        assert rep.measured["test_error"] == lossgrad.zero_one_error(trace.outputs,
+                                                                      heldout.ys)
+        assert peak < sum(a.nbytes for a in trace.activations)
+
     def test_zero_network_edge_case(self, toy):
         rng, _, ds, params = toy
         zero = params.with_weights(np.zeros_like(w) for w in params.weights)

@@ -24,10 +24,14 @@ def small_problem():
     return params, ds
 
 
+def differences(a, b):
+    return [wa - wb for wa, wb in zip(a.weights, b.weights)]
+
+
 class TestStepDistance:
     def test_zero_for_identical_weights(self, small_problem):
         params, _ = small_problem
-        assert step_distance(params, params) == 0.0
+        assert step_distance(params, differences(params, params)) == 0.0
 
     def test_scaling_homogeneity(self, small_problem):
         params, _ = small_problem
@@ -36,7 +40,8 @@ class TestStepDistance:
         scaled[0] = scaled[0] * (1 + eps)
         other = params.with_weights(scaled)
         expected = eps * numkit.spectral_norm(params.weights[0])
-        assert step_distance(other, params) == pytest.approx(expected, rel=1e-6)
+        assert step_distance(params, differences(other, params)) == pytest.approx(
+            expected, rel=1e-6)
 
     def test_matches_definition_on_gd_iterates(self, small_problem):
         params, ds = small_problem
@@ -47,13 +52,32 @@ class TestStepDistance:
         for l in range(1, params.depth + 2):
             manual += params.layer_scale(l) * numkit.spectral_norm(
                 eta * grads.layers[l - 1])
-        assert step_distance(new_params, params) == pytest.approx(manual, rel=1e-6)
+        assert step_distance(params, differences(new_params, params)) == pytest.approx(
+            manual, rel=1e-6)
 
     def test_shape_mismatch_rejected(self, small_problem):
         params, _ = small_problem
         other = init_gaussian(RngState(0), 6, 4, 16, 16, 0.1 / 4)
-        with pytest.raises(ValueError):
-            step_distance(params, other)
+        diffs = differences(params, params)
+        for bad in (other.weights, diffs[:-1], diffs + diffs[-1:]):
+            with pytest.raises(ValueError):
+                step_distance(params, bad)
+
+    def test_reads_a_generator_once_in_layer_order(self, small_problem):
+        # the differences may be formed one at a time; the sum is the same
+        # bits as over a list
+        params, _ = small_problem
+        other = init_gaussian(RngState(5), 6, 4, 32, 32, 0.1 / 4)
+        formed = []
+
+        def one_at_a_time():
+            for l, (wa, wb) in enumerate(zip(other.weights, params.weights), 1):
+                formed.append(l)
+                yield wa - wb
+
+        got = step_distance(params, one_at_a_time())
+        assert formed == list(range(1, params.depth + 2))
+        assert got.hex() == step_distance(params, differences(other, params)).hex()
 
 
 class TestGdStep:
