@@ -62,10 +62,12 @@ class Teacher:
 
 
 def teacher_eval(teacher: Teacher, xs: np.ndarray) -> np.ndarray:
-    """f(x) = (1/M) sum_j c_j relu(u_jᵀ x), vectorized over rows of xs."""
+    """f(x) = (1/M) sum_j c_j relu(u_jᵀ x), vectorized over rows of xs, the
+    ReLU applied in the pre-activations' own buffer."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     pre = xs @ teacher.directions.T
-    return np.maximum(pre, 0.0) @ teacher.coeffs / teacher.n_features
+    np.maximum(pre, 0.0, out=pre)
+    return pre @ teacher.coeffs / teacher.n_features
 
 
 def make_teacher(rng: RngState, d: int, M: int, gamma: float) -> Teacher:

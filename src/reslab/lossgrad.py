@@ -9,10 +9,13 @@ so batch gradients are sums of rank-one terms, accumulated here by a single
 matmul per layer in fixed sample order.  The backward recursion is one
 stream that hands out each masked row block g_l ⊙ sigma_l as it forms it,
 so a block serves the recursion and its layer's product and is dropped.
-Only the dense layer gradients are kept; the caller owns them, and a step
-that writes the next weights into them consumes the gradient.  The
-spectral norms behind ``h_k`` are taken on them by the lab's one
-spectral-norm routine, ``numkit.spectral_norm``.  The loss, the
+On it sits the gradient stream, which hands out each dense layer gradient
+once the recursion has read that layer's weight: a GD or ascent step
+finishes each layer as it arrives (its norms, then its update, which may
+be written over the weight) and holds no gradient set.
+``batch_output_grad`` keeps the stream's layers for the callers that need
+them all.  The spectral norms behind ``h_k`` are taken on the layers by
+the lab's one spectral-norm routine, ``numkit.spectral_norm``.  The loss, the
 surrogate loss and the 0-1 error are defined here once, as functions of
 the network outputs, so a caller that needs no gradient needs no trace
 (``model.forward_outputs``).  A central
@@ -57,9 +60,6 @@ class GradientSet:
     """Per-layer gradient matrices matching the weight shapes."""
     layers: tuple
 
-    def frobenius_norms(self) -> tuple:
-        return tuple(numkit.frobenius_norm(g) for g in self.layers)
-
     def spectral_norms(self) -> tuple:
         """Per-layer spectral norms (the ``h_k`` terms), from
         ``numkit.spectral_norm``: exact to rounding unless a layer's top
@@ -96,16 +96,29 @@ def output_gradient(params: NetworkParams, trace: BatchTrace, l: int) -> np.ndar
     return params.layer_scale(l) * np.outer(a, b)
 
 
+def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
+    """The gradient stream: yields (l, G_l) for l = L+1 down to 1, G_l =
+    sum_i weights_i grad_{W_l} f(x_i), each in a fresh buffer the caller
+    owns.  Layer l is yielded only once the backward pass has taken its
+    back product with W_l, so the caller may overwrite W_l as it arrives."""
+    w = np.asarray(weights, dtype=np.float64)
+    done = []  # the layer above, held until its back product is taken
+    for l, _, masked in _backward_rows(params, bt):
+        if done:
+            yield done.pop()  # W_{l+1} has been read
+        a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
+        done.append((l, a.T @ masked))
+        del a  # not held while the stream forms the next block
+    yield done.pop()
+
+
 def batch_output_grad(params: NetworkParams, bt: BatchTrace,
                       weights: np.ndarray) -> GradientSet:
     """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i),
-    each layer's product taken as its masked block leaves the stream."""
-    w = np.asarray(weights, dtype=np.float64)
+    the gradient stream's layers kept."""
     layers = [None] * (params.depth + 1)
-    for l, _, masked in _backward_rows(params, bt):
-        a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
-        layers[l - 1] = a.T @ masked
-        del a  # not held while the stream forms the next block
+    for l, g in _layer_gradients(params, bt, weights):
+        layers[l - 1] = g
     return GradientSet(tuple(layers))
 
 
@@ -113,8 +126,8 @@ def empirical_loss(outputs: np.ndarray, ys: np.ndarray) -> float:
     """Empirical cross-entropy loss (the mean over samples) of the network
     outputs f(x_i).
 
-    The one place the loss is computed: ``loss_grad_from_trace`` calls it
-    on a trace's outputs, and callers that need only the loss call it
+    The one place the loss is computed: ``loss_terms`` calls it on a
+    trace's outputs, and callers that need only the loss call it
     alone, with no backward pass and, through ``model.forward_outputs``,
     no trace.
     """
@@ -143,17 +156,21 @@ def zero_one_error(outputs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.mean(ys * outputs <= 0.0))
 
 
-def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
-    """Loss, surrogate, and loss gradient reusing an existing forward trace.
+def loss_terms(outputs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Everything a loss-gradient step needs from the outputs f(x_i): the
+    loss from ``empirical_loss``, the surrogate from ``surrogate``, and the
+    sample weights -l'(y_i f(x_i)) y_i / n whose weighted output gradients
+    sum to the loss gradient."""
+    loss = empirical_loss(outputs, ys)
+    value, terms = surrogate(outputs, ys)
+    return loss, value, -terms * ys / outputs.shape[0]
 
-    The loss comes from ``empirical_loss`` and the surrogate from
-    ``surrogate``, whose per-sample terms weight the one
-    ``batch_output_grad``.
-    """
-    loss = empirical_loss(bt.outputs, ys)
-    value, terms = surrogate(bt.outputs, ys)
-    grads = batch_output_grad(params, bt, -terms * ys / bt.n)
-    return loss, value, grads
+
+def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
+    """Loss, surrogate, and loss gradient reusing an existing forward trace:
+    ``loss_terms`` weighting the one ``batch_output_grad``."""
+    loss, value, weights = loss_terms(bt.outputs, ys)
+    return loss, value, batch_output_grad(params, bt, weights)
 
 
 def _perturbed(params: NetworkParams, l: int, i: int, j: int, delta: float) -> NetworkParams:

@@ -12,7 +12,9 @@ depths, which the acceptance suite tracks.
 Ball probes hold one draw at a time: each draw or pair, and every trace
 that pins it, is dropped before the next is made.  Probes that read only
 outputs, or one layer at a time, take them from ``model.forward_outputs``
-or the forward stream and hold no trace.
+or the forward stream and hold no trace.  The Rademacher ascent steps and
+projects each layer as it leaves ``lossgrad``'s gradient stream, writing
+into the iterate's own buffers from its second step on.
 
 Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv`` and
 are recomputable from the details alone.
@@ -576,20 +578,22 @@ def last_layer_column_sets(params_init: NetworkParams, params_cur: NetworkParams
     Emitted as diagnostics only; their thresholds are proof artifacts.
     """
     xs, ys = dataset.xs, dataset.ys
-    bt0 = forward_batch(params_init, xs)
-    btc = forward_batch(params_cur, xs)
+    # from each forward stream only the last layers, x_L and x_{L+1}
+    (_, x_cur, pat_cur), = itertools.islice(
+        _forward_layers(params_cur, xs), params_cur.depth + 1, None)
+    outputs = x_cur @ params_cur.v
+    del x_cur
+    (_, x_l, _), (_, _, pat0) = itertools.islice(  # init activations, patterns
+        _forward_layers(params_init, xs), params_init.depth, None)
     gamma = dataset.teacher.gamma
-    es, a_weights = lossgrad.surrogate(btc.outputs, ys)  # a(x, y) in [0, 1]
+    es, a_weights = lossgrad.surrogate(outputs, ys)  # a(x, y) in [0, 1]
     n = xs.shape[0]
-    pat0 = bt0.pattern(params_init.depth + 1)      # (n, m_last), init patterns
-    x_l = bt0.activations[params_init.depth]       # (n, m_L), init activations
     coef = (a_weights * ys)[:, None] * pat0        # (n, m_last)
     g_cols = x_l.T @ coef / n                      # (m_L, m_last): g_j columns
     col_sq = np.sum(g_cols * g_cols, axis=0)
     threshold = gamma ** 2 * es ** 2 / (2 * 67)
     set_a = col_sq >= threshold
-    flipped = np.any(bt0.pattern(params_init.depth + 1)
-                     != btc.pattern(params_cur.depth + 1), axis=0)
+    flipped = np.any(pat0 != pat_cur, axis=0)
     return {
         "A": int(np.count_nonzero(set_a)),
         "A_prime": int(np.count_nonzero(flipped)),
@@ -800,34 +804,32 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
 # empirical Rademacher complexity of the tau-ball (ascent lower estimate)
 # ---------------------------------------------------------------------------
 
-def _project_to_ball(params: NetworkParams, center: NetworkParams,
-                     tau: float) -> NetworkParams:
-    """w0 + clip(w - w0) into the per-layer Frobenius tau-ball around
-    ``center``, worked out in ``params``' own buffers: it consumes
-    ``params``, which must own them, as ``_ascent_step``'s result does."""
-    for w, w0 in zip(params.weights, center.weights):
-        np.subtract(w, w0, out=w)
-        norm = numkit.frobenius_norm(w)
+def _ascent_step(params: NetworkParams, center: NetworkParams, tau, bt,
+                 weights, step_size) -> NetworkParams:
+    """``params`` moved by ``step_size`` along sum_i weights_i grad f(x_i),
+    then projected, w0 + clip(w - w0), into the per-layer Frobenius
+    tau-ball around ``center``, each layer as it leaves the gradient stream.
+
+    From the center, the step is written into the gradient's own buffers;
+    from any other iterate, which such a step made, into its own.  So the
+    center's weights are never written.
+    """
+    owned = params is not center
+    stepped = list(params.weights)
+    for l, g in lossgrad._layer_gradients(params, bt, weights):
+        w, w0 = stepped[l - 1], center.weights[l - 1]
+        g *= step_size
+        d = np.add(w, g, out=w if owned else g)
+        del g  # not held while the stream forms the next layer
+        np.subtract(d, w0, out=d)
+        norm = numkit.frobenius_norm(d)
         if norm > tau:
             if tau > 0:
-                w *= tau / norm
+                d *= tau / norm
             else:
-                w.fill(0.0)
-        np.add(w0, w, out=w)
-    return params
-
-
-def _ascent_step(params: NetworkParams, bt, weights, step_size) -> NetworkParams:
-    """``params`` moved by ``step_size`` along sum_i weights_i grad f(x_i).
-
-    The gradient's own buffers take the new weights, so the result owns
-    them; ``params``' weights are never written.
-    """
-    grads = lossgrad.batch_output_grad(params, bt, weights)
-    for w, g in zip(params.weights, grads.layers):
-        g *= step_size
-        np.add(w, g, out=g)
-    return params.with_weights(grads.layers)
+                d.fill(0.0)
+        stepped[l - 1] = np.add(w0, d, out=d)
+    return params.with_weights(stepped)
 
 
 def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
@@ -846,9 +848,8 @@ def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
         if not np.isfinite(obj):
             return None
         best = max(best, obj)
-        current = _ascent_step(current, bt, xi / n, step_size)
+        current = _ascent_step(current, params, tau, bt, xi / n, step_size)
         del bt
-        current = _project_to_ball(current, params, tau)
     outputs = forward_outputs(current, xs)
     obj_end = float(xi @ outputs) / n - center_obj
     if np.isfinite(obj_end):

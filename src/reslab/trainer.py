@@ -10,6 +10,11 @@ initialization, the spectral step-distance functional
 activation-pattern flip fractions against the initialization, and the range
 of hidden-layer norms over the batch.  The update rule is exactly
 W_l <- W_l - eta * grad_l on every layer.
+
+A step is one forward pass and one pass over ``lossgrad``'s gradient
+stream: each layer's norms are taken and its update written as the layer
+arrives, into the iterate's own buffer once the first step has made one,
+so no step holds a whole gradient set.
 """
 
 from __future__ import annotations
@@ -108,12 +113,6 @@ def step_distance(params: NetworkParams, diffs) -> float:
     return total
 
 
-def _grad_step_distance(params: NetworkParams, grads: lossgrad.GradientSet,
-                        eta: float) -> float:
-    scales = [params.layer_scale(l) for l in range(1, params.depth + 2)]
-    return eta * sum(s * g for s, g in zip(scales, grads.spectral_norms()))
-
-
 def _flip_fraction(bt, init_patterns) -> float:
     diff = 0
     total = 0
@@ -123,49 +122,6 @@ def _flip_fraction(bt, init_patterns) -> float:
     return diff / total
 
 
-def _evaluate(params, xs, ys, step, init_weights, init_patterns):
-    """Forward + gradient at one iterate: every TrajectoryRecord field but
-    the spectral step distance h, the one expensive field, which the
-    caller adds to the records it keeps.
-
-    Also returns the gradient and the iterate's activation patterns,
-    without the rest of its trace.
-    """
-    bt = forward_batch(params, xs)
-    loss, surrogate, grads = lossgrad.loss_grad_from_trace(params, bt, ys)
-    if not np.isfinite(loss):
-        raise DivergenceError(step, f"loss = {loss}")
-    grad_frob = grads.frobenius_norms()
-    if not all(np.isfinite(g) for g in grad_frob):
-        raise DivergenceError(step, "non-finite gradient")
-    xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
-    dist = tuple(numkit.frobenius_norm(w - w0)
-                 for w, w0 in zip(params.weights, init_weights))
-    fields = dict(
-        step=step,
-        loss=loss,
-        surrogate=surrogate,
-        train_err=lossgrad.zero_one_error(bt.outputs, ys),
-        grad_frob=grad_frob,
-        dist_init=dist,
-        flip_frac=_flip_fraction(bt, init_patterns) if init_patterns is not None else 0.0,
-        xl_min=float(np.min(xl_norms)),
-        xl_max=float(np.max(xl_norms)),
-    )
-    return fields, grads, bt.patterns
-
-
-def _apply_update(params: NetworkParams, grads: lossgrad.GradientSet,
-                  eta: float) -> NetworkParams:
-    """W_l - eta * grad_l, written into the gradient's own buffers: it
-    consumes ``grads``, which must not be read again.  ``params``' weights
-    are never written, since the first iterate's are the initialization."""
-    for w, g in zip(params.weights, grads.layers):
-        g *= eta
-        np.subtract(w, g, out=g)
-    return params.with_weights(grads.layers)
-
-
 def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     """Run at most cfg.steps GD iterations, recording the trajectory.
 
@@ -173,38 +129,74 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     surrogate target is met.  With ``record_every`` 1, the first step at
     which a layer leaves a ball around the initialization is the first
     record whose ``max(dist_init)`` exceeds the radius.
+
+    Each step takes every field the forward pass gives, then finishes each
+    layer as it leaves ``lossgrad``'s gradient stream: its norms, then
+    W_l - eta * G_l.  Step 0 writes the update into G_l's own buffer, and
+    later steps into the iterate's, which step 0 made, so ``params``'
+    weights are never written, even when a step diverges.
     """
     xs, ys = dataset.xs, dataset.ys
     result = TrainResult(params=params, records=[])
     if cfg.steps == 0:
         return result  # zero budget: the untouched init, empty trajectory
-    init_weights = params.weights
-    init_patterns = None  # from the k = 0 evaluation, whose flip_frac is 0
+    init = params
+    init_patterns = None  # from step 0's trace, whose flip_frac is 0
+    scales = [params.layer_scale(l) for l in range(1, params.depth + 2)]
     best = np.inf
     for k in range(cfg.steps + 1):
-        recording = k % cfg.record_every == 0 or k == cfg.steps
-        fields, grads, patterns = _evaluate(params, xs, ys, k, init_weights,
-                                            init_patterns)
+        bt = forward_batch(params, xs)
+        loss, surrogate, sample_w = lossgrad.loss_terms(bt.outputs, ys)
+        if not np.isfinite(loss):
+            raise DivergenceError(k, f"loss = {loss}")
+        xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
+        fields = dict(
+            step=k,
+            loss=loss,
+            surrogate=surrogate,
+            train_err=lossgrad.zero_one_error(bt.outputs, ys),
+            dist_init=tuple(numkit.frobenius_norm(w - w0)
+                            for w, w0 in zip(params.weights, init.weights)),
+            flip_frac=(_flip_fraction(bt, init_patterns)
+                       if init_patterns is not None else 0.0),
+            xl_min=float(np.min(xl_norms)),
+            xl_max=float(np.max(xl_norms)),
+        )
         if init_patterns is None:
-            init_patterns = patterns
-        del patterns  # held through the next evaluation, they raise peak memory
-        surrogate = fields["surrogate"]
+            init_patterns = bt.patterns
         stopping = (cfg.stop_surrogate is not None
                     and surrogate <= cfg.stop_surrogate)
-        if recording or stopping:
+        recording = stopping or k % cfg.record_every == 0 or k == cfg.steps
+        stepping = not stopping and k < cfg.steps
+        grad_frob = [None] * len(scales)
+        h_norms = [None] * len(scales)
+        weights = list(params.weights)
+        for l, g in lossgrad._layer_gradients(params, bt, sample_w):
+            grad_frob[l - 1] = numkit.frobenius_norm(g)
+            if not np.isfinite(grad_frob[l - 1]):
+                raise DivergenceError(k, "non-finite gradient")
+            if recording:  # one-layer sets: every h_k norm is taken there
+                h_norms[l - 1] = lossgrad.GradientSet((g,)).spectral_norms()[0]
+            if stepping:
+                g *= cfg.eta
+                w = weights[l - 1]
+                weights[l - 1] = np.subtract(w, g, out=g if k == 0 else w)
+            del g  # not held while the stream forms the next layer
+        del bt  # not held through the next forward pass
+        if recording:
             result.records.append(TrajectoryRecord(
-                h=_grad_step_distance(params, grads, cfg.eta), **fields))
+                grad_frob=tuple(grad_frob),
+                h=cfg.eta * sum(s * g for s, g in zip(scales, h_norms)),
+                **fields))
         if surrogate < best:
             best = surrogate
             result.best_step = k
             result.best_surrogate = surrogate
         result.steps_run = k
-        if stopping:
-            result.stopped_early = True
+        if not stepping:
+            result.stopped_early = stopping
             break
-        if k == cfg.steps:
-            break
-        params = _apply_update(params, grads, cfg.eta)
+        params = params.with_weights(weights)
     result.params = params
     return result
 

@@ -305,6 +305,23 @@ class TestBatchLossGrad:
         grads, peak = traced_peak(lambda: batch_output_grad(p, bt, w))
         assert peak - sum(g.nbytes for g in grads.layers) <= 6 * 50 * 64 * 8
 
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_stream_yields_a_layer_once_its_weight_is_read(self, arch):
+        # a caller may overwrite W_l as soon as layer l arrives: with each
+        # yielded layer's weight set to NaN, every layer still has
+        # batch_output_grad's bytes, in the order l = L+1 down to 1
+        p = net(16, d=10, L=6, m=32, m_last=24, arch=arch)
+        xs, _ = self.make_data(p, 30, seed=95)
+        bt = forward_batch(p, xs)
+        w = RngState(96).standard_normal(30)
+        want = batch_output_grad(p, bt, w).layers
+        own = p.with_weights(wl.copy() for wl in p.weights)
+        got = []
+        for l, g in lossgrad._layer_gradients(own, bt, w):
+            own.weights[l - 1].fill(np.nan)
+            got.append((l, g.tobytes()))
+        assert got == [(l, want[l - 1].tobytes()) for l in range(p.depth + 1, 0, -1)]
+
     def test_oracle_reports_flips_itself_in_three_passes(self, monkeypatch):
         # a flip-free entry costs the base pass and the two probes; an entry
         # whose probes cross a kink gives None instead of a difference

@@ -424,6 +424,21 @@ class TestGradientBounds:
         want = lossgrad.surrogate(forward_batch(res.params, ds.xs).outputs, ds.ys)[0]
         assert got.hex() == want.hex() == res.records[-1].surrogate.hex()
 
+    def test_column_sets_hold_less_than_a_trace(self, traced_peak, deep):
+        # only the last layers of the two forward streams are kept: the
+        # traced peak stays below one n-row trace (2.2 traces when it built
+        # two whole ones)
+        rng, params, _ = deep
+        teacher = make_teacher(rng.substream("ct"), params.d, 32, 0.05)
+        ds = sample_dataset(teacher, rng.substream("cd"), 50, pilot_draws=5000)
+        cur = trainer.train(params, ds, trainer.TrainConfig(eta=1 / 64, steps=3)).params
+        bt = forward_batch(params, ds.xs)
+        trace = sum(a.nbytes for a in bt.activations + bt.patterns) + bt.outputs.nbytes
+        del bt
+        diag, peak = traced_peak(lambda: probes.last_layer_column_sets(params, cur, ds))
+        assert diag["m_last"] == params.m_last
+        assert peak < trace
+
 
 class TestSeparability:
     def test_aligned_toy_fixture_reaches_half_margin(self):
@@ -615,39 +630,55 @@ class TestRademacher:
             got = probes._linearization_terms(params, bt, rows, deltas)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("tau", [0.0, 0.05, 3.0, 10.0])
-    def test_projection_bits_match_clip_formula(self, toy, tau):
-        # the projection works inside the stepped buffers: bit for bit
-        # w0 + clip(w - w0), with the center untouched
-        rng, _, _, params = toy
-        moved = [w + 0.1 * rng.substream(f"proj/{l}").standard_normal(w.shape)
-                 for l, w in enumerate(params.weights)]
+    @staticmethod
+    def stepped_and_clipped(iterate, center, grads, step_size, tau):
+        # w0 + clip(w + step_size * g - w0) into the per-layer tau-ball
         want = []
-        for w, w0 in zip(moved, params.weights):
-            delta = w - w0
+        for w, w0, g in zip(iterate.weights, center.weights, grads.layers):
+            delta = (w + g * step_size) - w0
             norm = numkit.frobenius_norm(delta)
             if norm > tau:
                 delta = delta * (tau / norm) if tau > 0 else np.zeros_like(delta)
             want.append(w0 + delta)
+        return want
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 3.0, 10.0])
+    def test_projection_bits_match_clip_formula(self, toy, tau):
+        # a step from an iterate other than the center is written into the
+        # iterate's own buffers and projected layer by layer: bit for bit
+        # w0 + clip(w + s * g - w0), with the center untouched
+        rng, _, ds, params = toy
+        moved = params.with_weights(
+            w + 0.1 * rng.substream(f"proj/{l}").standard_normal(w.shape)
+            for l, w in enumerate(params.weights))
+        bt = forward_batch(moved, ds.xs)
+        xi = rng.substream("step").signs(ds.n) / ds.n
+        grads = lossgrad.batch_output_grad(moved, bt, xi)
+        want = self.stepped_and_clipped(moved, params, grads, 0.5, tau)
         center = [w.tobytes() for w in params.weights]
-        got = probes._project_to_ball(
-            params.with_weights(w.copy() for w in moved), params, tau)
+        got = probes._ascent_step(moved, params, tau, bt, xi, 0.5)
+        assert all(a is b for a, b in zip(got.weights, moved.weights))
         assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
         assert [w.tobytes() for w in params.weights] == center
 
     def test_ascent_step_bits_match_formula(self, toy):
+        # from the center the step is written into the gradient's buffers
         rng, _, ds, params = toy
         bt = forward_batch(params, ds.xs)
         xi = rng.substream("step").signs(ds.n) / ds.n
         grads = lossgrad.batch_output_grad(params, bt, xi)
-        want = [w + g * 0.01 for w, g in zip(params.weights, grads.layers)]
-        got = probes._ascent_step(params, bt, xi, 0.01)
+        want = self.stepped_and_clipped(params, params, grads, 0.01, 0.05)
+        center = [w.tobytes() for w in params.weights]
+        got = probes._ascent_step(params, params, 0.05, bt, xi, 0.01)
+        assert not any(a is b for a, b in zip(got.weights, params.weights))
         assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
+        assert [w.tobytes() for w in params.weights] == center
 
     def test_ascent_holds_few_parameter_sets(self, traced_peak):
-        # a step's gradient becomes its iterate, each trace is dropped once
-        # its gradient is taken, and the center's rows are streamed: the
-        # traced peak stays within six parameter sets (8.8 when all held)
+        # each layer is stepped and projected as it leaves the gradient
+        # stream, each trace is dropped once its gradient is taken, and the
+        # center's rows are streamed: the traced peak stays within 3.5
+        # parameter sets (4.13 when a step held a whole gradient set)
         rng = RngState(3)
         teacher = make_teacher(rng.substream("t"), 10, 32, 0.05)
         ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
@@ -655,7 +686,7 @@ class TestRademacher:
         rep, peak = traced_peak(lambda: probes.rademacher_estimate(
             params, 0.1, ds, rng.substream("xi"), xi_draws=3, ascent_steps=4))
         assert rep.measured["dropped"] == 0
-        assert peak <= 6 * sum(w.nbytes for w in params.weights)
+        assert peak <= 3.5 * sum(w.nbytes for w in params.weights)
 
     def test_nondecreasing_in_tau_with_shared_draws(self, toy):
         rng, _, ds, params = toy

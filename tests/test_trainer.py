@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reslab import lossgrad, numkit, trainer
+from reslab import lossgrad, numkit, probes, trainer
 from reslab.data import make_teacher, sample_dataset
 from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
@@ -22,6 +22,20 @@ def small_problem():
     ds = sample_dataset(teacher, rng.substream("data"), 40, pilot_draws=5000)
     params = init_gaussian(rng.substream("init"), 6, 4, 32, 32, 0.1 / 4)
     return params, ds
+
+
+def poison_gradient(monkeypatch, call, layer):
+    """Makes layer ``layer`` of the ``call``-th gradient stream (counted
+    from 1 over every ``train`` from here on) all NaN."""
+    calls = []
+    stream = lossgrad._layer_gradients
+
+    def poisoned(p, bt, w):
+        calls.append(p)
+        for l, g in stream(p, bt, w):
+            yield l, np.full_like(g, np.nan) if len(calls) == call and l == layer else g
+
+    monkeypatch.setattr(lossgrad, "_layer_gradients", poisoned)
 
 
 def differences(a, b):
@@ -92,16 +106,19 @@ class TestGdStep:
             np.testing.assert_allclose(w_new + eta * g, w_old, atol=1e-15)
 
     def test_update_bits_match_formula(self, small_problem):
-        # the step is written into the gradient's own buffers, bit for bit
-        # w - eta * g, and the old weights are left as they were
+        # each step is bit for bit w - eta * g, whether it is written into
+        # the gradient's own buffer (step 0) or the iterate's (later
+        # steps), and the initialization is left as it was
         params, ds = small_problem
         eta = 0.07
-        _, _, grads = loss_grad(params, ds)
-        want = [w - eta * g for w, g in zip(params.weights, grads.layers)]
+        want = params
+        for _ in range(3):
+            _, _, grads = loss_grad(want, ds)
+            want = want.with_weights(
+                w - eta * g for w, g in zip(want.weights, grads.layers))
         before = [w.tobytes() for w in params.weights]
-        new = trainer._apply_update(params, grads, eta)
-        assert all(a is b for a, b in zip(new.weights, grads.layers))
-        assert [w.tobytes() for w in new.weights] == [w.tobytes() for w in want]
+        got = train(params, ds, TrainConfig(eta, steps=3)).params
+        assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
         assert [w.tobytes() for w in params.weights] == before
 
     def test_dead_network_is_fixed_point(self, small_problem):
@@ -190,6 +207,53 @@ class TestTrain:
         with pytest.raises(trainer.DivergenceError) as err:
             train(params.with_weights(poisoned), ds, TrainConfig(eta=0.1, steps=5))
         assert err.value.step == 0
+
+    def test_never_writes_its_initialization(self, small_problem, monkeypatch):
+        # step 0 writes into the gradient's buffers, later steps into the
+        # iterate's own, so the caller's weights keep their bytes, also
+        # when a step >= 1 diverges on its loss or after some of its layers
+        # were stepped
+        params, ds = small_problem
+        before = [w.tobytes() for w in params.weights]
+        train(params, ds, TrainConfig(eta=0.05, steps=4))
+        assert [w.tobytes() for w in params.weights] == before
+        with np.errstate(all="ignore"), pytest.raises(trainer.DivergenceError,
+                                                      match="loss") as err:
+            train(params, ds, TrainConfig(eta=1e200, steps=4))
+        assert err.value.step == 1
+        assert [w.tobytes() for w in params.weights] == before
+        poison_gradient(monkeypatch, call=3, layer=params.depth)
+        with pytest.raises(trainer.DivergenceError, match="gradient") as err:
+            train(params, ds, TrainConfig(eta=0.05, steps=4))
+        assert err.value.step == 2
+        assert [w.tobytes() for w in params.weights] == before
+
+    def test_sweep_retry_starts_from_the_untouched_init(self, small_problem,
+                                                        monkeypatch):
+        # the first try diverges at step 1 with its top layer stepped; the
+        # retry at half the step size gives the row of a fresh init
+        _, ds = small_problem
+        args = dict(arch="residual", L=3, ds=ds, m=32, theta_per_L=0.1,
+                    eta_scale=2.0, steps_budget=6, surrogate_target=0.3)
+        poison_gradient(monkeypatch, call=2, layer=3)
+        row = probes.sweep_cell(RngState(8), **args)
+        monkeypatch.undo()
+        assert row["retries"] == 1 and row["eta"] == 1.0 / 32
+        fresh = probes.sweep_cell(RngState(8), **{**args, "eta_scale": 1.0})
+        assert row == {**fresh, "retries": 1}
+
+    def test_holds_few_parameter_sets(self, traced_peak):
+        # each layer is finished as it leaves the gradient stream, so a step
+        # holds the iterate, its trace and at most two gradient layers: the
+        # traced peak stays within 2.75 parameter sets (3.31 when each step
+        # held a whole gradient set)
+        rng = RngState(3)
+        teacher = make_teacher(rng.substream("t"), 10, 32, 0.05)
+        ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
+        params = init_gaussian(rng.substream("i"), 10, 16, 64, 64, 0.1 / 16)
+        res, peak = traced_peak(lambda: train(params, ds, TrainConfig(1 / 64, steps=3)))
+        assert res.steps_run == 3
+        assert peak <= 2.75 * sum(w.nbytes for w in params.weights)
 
     def test_flip_fraction_zero_at_init_and_grows(self, small_problem):
         params, ds = small_problem
