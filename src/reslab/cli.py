@@ -11,7 +11,8 @@ width of the network being trained.
 
 Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O or shape
 error, 4 usage error: an unknown flag or config key, or a config value of
-the wrong type or one the lab rejects (``model.ConfigError``).
+the wrong type, a non-finite number, or one the lab rejects
+(``model.ConfigError``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ if os.environ.get("LAB_THREADS"):
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -110,6 +112,10 @@ def load_config(path=None, overrides=None) -> dict:
                 _mistyped(item, like[0]) for item in value)):
             raise UsageError(f"config value {key}={value!r} does not have the type "
                              f"of {like!r}")
+        # JSON's NaN and Infinity parse as floats, which no key means
+        if any(isinstance(item, float) and not math.isfinite(item)
+               for item in (value if isinstance(value, list) else [value])):
+            raise UsageError(f"config value {key}={value!r} is not finite")
     if cfg["probe_inputs"] < 1:
         raise UsageError(f"probe_inputs must be at least 1, got {cfg['probe_inputs']}")
     return cfg
@@ -279,8 +285,7 @@ def _depth_sweep(cfg, cache_dir=None) -> probes.ProbeReport:
 
 
 def cmd_sweep(cfg) -> int:
-    os.makedirs(cfg["out"], exist_ok=True)
-    rep = _depth_sweep(cfg, cache_dir=cfg["out"])
+    rep = _depth_sweep(cfg, cache_dir=cfg["out"])  # each cell makes its directory
     for row in rep.details:
         print(f"cell {row[0]} L={row[1]}: steps={row[4]}")
     agg = os.path.join(cfg["out"], "sweep.csv")

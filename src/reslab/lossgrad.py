@@ -106,7 +106,9 @@ def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
     for l, _, masked in _backward_rows(params, bt):
         if done:
             yield done.pop()  # W_{l+1} has been read
-        a = params.layer_scale(l) * (w[:, None] * bt.activations[l - 1])
+        a = w[:, None] * bt.activations[l - 1]
+        if params.skip(l):  # the layer scale; 1.0 * a would be a, bit for bit
+            a *= params.theta
         done.append((l, a.T @ masked))
         del a  # not held while the stream forms the next block
     yield done.pop()

@@ -114,6 +114,25 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(pairwise_sum(a * a)))
 
 
+def _peak(a) -> float:
+    """max |a_ij| with no |a| temporary; NaN reaches both ends, so it stays."""
+    return float(max(a.max(), -a.min()))
+
+
+def frobenius_finite(a) -> bool:
+    """Whether ``frobenius_norm(a)`` is finite, mostly without the tree.
+
+    With peak = max |a_ij| finite and peak² · size <= 1e300, no square and
+    no partial sum of the tree can overflow, so the norm is finite; only
+    when that bound fails (a non-finite entry, or entries near 1e150) is
+    the norm taken.  The peak takes two passes over ``a`` and makes no
+    temporary.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    peak = _peak(a)
+    return peak * peak * a.size <= 1e300 or bool(np.isfinite(frobenius_norm(a)))
+
+
 # Fixed entropy for the Lanczos restarts; a constant keeps spectral_norm a
 # pure function of its argument.
 _RESTART_ENTROPY = 0x5EEDF00D
@@ -172,8 +191,7 @@ def spectral_norm(a: Matrix) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise EmptyShapeError(f"spectral_norm needs a nonempty matrix, got shape {a.shape}")
-    # max |a_ij| with no |a| temporary; NaN reaches both ends, so it stays
-    peak = float(max(a.max(), -a.min()))
+    peak = _peak(a)
     if not math.isfinite(peak):
         raise NumericDomainError("spectral_norm: non-finite entries")
     if peak == 0.0:

@@ -957,6 +957,11 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, m, theta_per_L, eta_scale,
     up to ``SWEEP_MAX_RETRIES`` restarts.  ``steps_to_threshold`` is -1 when
     the cell never reaches the surrogate target within the budget.  The
     ``h2l_*`` columns are the largest ||H_2^L|| over the first three samples.
+
+    A cell's training records step 0 and its last step, the one that met
+    the target or ended the budget, and reads only the last; the steps in
+    between take no record fields and no h_k norms.  ``steps_budget`` must
+    be at least 1.
     """
     theta = theta_per_L / L
     init_rng = rng.substream(f"init/{arch}/{L}")
@@ -967,7 +972,7 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, m, theta_per_L, eta_scale,
     while True:
         cfg = trainer.TrainConfig(eta=eta, steps=steps_budget,
                                   stop_surrogate=surrogate_target,
-                                  record_every=max(1, steps_budget // 200))
+                                  record_every=steps_budget)
         try:
             result = trainer.train(params, ds, cfg)
             break
@@ -1036,6 +1041,9 @@ def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
     stamp["rng"] = [rng.seed, rng.stream]
     if not L_grid or not arches:
         raise ConfigError("a depth sweep needs at least one depth and one arch")
+    if steps_budget < 1:
+        raise ConfigError(f"a depth sweep needs a step budget of at least 1, "
+                          f"got {steps_budget}")
     ds = make_dataset(rng, d, M, gamma, n)
     rows = []
     steps_by_cell = {}

@@ -12,9 +12,11 @@ of hidden-layer norms over the batch.  The update rule is exactly
 W_l <- W_l - eta * grad_l on every layer.
 
 A step is one forward pass and one pass over ``lossgrad``'s gradient
-stream: each layer's norms are taken and its update written as the layer
+stream: each layer is checked and its update written as the layer
 arrives, into the iterate's own buffer once the first step has made one,
-so no step holds a whole gradient set.
+so no step holds a whole gradient set.  Only a recorded step builds a
+record's fields; every other step takes just the loss and surrogate, and
+checks each gradient layer by a peak bound instead of its norm.
 """
 
 from __future__ import annotations
@@ -122,6 +124,20 @@ def _flip_fraction(bt, init_patterns) -> float:
     return diff / total
 
 
+def _forward_fields(params, init, bt, init_patterns, ys) -> dict:
+    """The record fields, beyond the loss and surrogate, of iterate
+    ``params`` and its trace ``bt``."""
+    xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
+    return dict(
+        train_err=lossgrad.zero_one_error(bt.outputs, ys),
+        dist_init=tuple(numkit.frobenius_norm(w - w0)
+                        for w, w0 in zip(params.weights, init.weights)),
+        flip_frac=_flip_fraction(bt, init_patterns),
+        xl_min=float(np.min(xl_norms)),
+        xl_max=float(np.max(xl_norms)),
+    )
+
+
 def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     """Run at most cfg.steps GD iterations, recording the trajectory.
 
@@ -130,18 +146,24 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
     which a layer leaves a ball around the initialization is the first
     record whose ``max(dist_init)`` exceeds the radius.
 
-    Each step takes every field the forward pass gives, then finishes each
-    layer as it leaves ``lossgrad``'s gradient stream: its norms, then
-    W_l - eta * G_l.  Step 0 writes the update into G_l's own buffer, and
-    later steps into the iterate's, which step 0 made, so ``params``'
-    weights are never written, even when a step diverges.
+    Step 0, every ``record_every``-th step, the last and the one that
+    meets the target are recorded, and only they build the record fields.
+    Every step checks its loss, then finishes each layer as it leaves
+    ``lossgrad``'s gradient stream: a finiteness check (the Frobenius norm
+    on recorded steps, else ``numkit.frobenius_finite``, which agrees with
+    it), then W_l - eta * G_l.  So records, the final weights, ``best_step``
+    and any ``DivergenceError`` do not depend on ``record_every``.
+
+    Step 0 writes the update into G_l's own buffer, and later steps into
+    the iterate's, which step 0 made, so ``params``' weights are never
+    written, even when a step diverges.
     """
     xs, ys = dataset.xs, dataset.ys
     result = TrainResult(params=params, records=[])
     if cfg.steps == 0:
         return result  # zero budget: the untouched init, empty trajectory
     init = params
-    init_patterns = None  # from step 0's trace, whose flip_frac is 0
+    init_patterns = None  # from step 0's trace
     scales = [params.layer_scale(l) for l in range(1, params.depth + 2)]
     best = np.inf
     for k in range(cfg.steps + 1):
@@ -149,31 +171,24 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
         loss, surrogate, sample_w = lossgrad.loss_terms(bt.outputs, ys)
         if not np.isfinite(loss):
             raise DivergenceError(k, f"loss = {loss}")
-        xl_norms = np.linalg.norm(bt.activations[params.depth], axis=1)
-        fields = dict(
-            step=k,
-            loss=loss,
-            surrogate=surrogate,
-            train_err=lossgrad.zero_one_error(bt.outputs, ys),
-            dist_init=tuple(numkit.frobenius_norm(w - w0)
-                            for w, w0 in zip(params.weights, init.weights)),
-            flip_frac=(_flip_fraction(bt, init_patterns)
-                       if init_patterns is not None else 0.0),
-            xl_min=float(np.min(xl_norms)),
-            xl_max=float(np.max(xl_norms)),
-        )
         if init_patterns is None:
             init_patterns = bt.patterns
         stopping = (cfg.stop_surrogate is not None
                     and surrogate <= cfg.stop_surrogate)
         recording = stopping or k % cfg.record_every == 0 or k == cfg.steps
         stepping = not stopping and k < cfg.steps
-        grad_frob = [None] * len(scales)
-        h_norms = [None] * len(scales)
+        if recording:
+            fields = _forward_fields(params, init, bt, init_patterns, ys)
+            grad_frob = [None] * len(scales)
+            h_norms = [None] * len(scales)
         weights = list(params.weights)
         for l, g in lossgrad._layer_gradients(params, bt, sample_w):
-            grad_frob[l - 1] = numkit.frobenius_norm(g)
-            if not np.isfinite(grad_frob[l - 1]):
+            if recording:
+                grad_frob[l - 1] = numkit.frobenius_norm(g)
+                finite = np.isfinite(grad_frob[l - 1])
+            else:
+                finite = numkit.frobenius_finite(g)
+            if not finite:
                 raise DivergenceError(k, "non-finite gradient")
             if recording:  # one-layer sets: every h_k norm is taken there
                 h_norms[l - 1] = lossgrad.GradientSet((g,)).spectral_norms()[0]
@@ -185,6 +200,7 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
         del bt  # not held through the next forward pass
         if recording:
             result.records.append(TrajectoryRecord(
+                step=k, loss=loss, surrogate=surrogate,
                 grad_frob=tuple(grad_frob),
                 h=cfg.eta * sum(s * g for s, g in zip(scales, h_norms)),
                 **fields))

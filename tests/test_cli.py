@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,7 +84,14 @@ class TestConfig:
         # a null default, and list elements, are typed too
         ("train", "stop_surrogate", "0.1"), ("probe", "sweep_L", ["4"]),
         ("probe", "sweep_arch", [None]), ("probe", "tau_grid", ["0.1"]),
-        ("probe", "beta_grid", [True])])
+        ("probe", "beta_grid", [True]),
+        # JSON's NaN and Infinity parse as floats: a ball_tau of Infinity
+        # crashed the ball probes, a markov_band of NaN printed a verdict
+        ("probe", "ball_tau", math.inf), ("probe", "markov_band", math.nan),
+        ("train", "eta_scale", math.inf), ("train", "stop_surrogate", math.nan),
+        ("probe", "tau_grid", [0.1, math.inf]), ("probe", "beta_grid", [math.nan]),
+        # a cell trained for no step has no record to read its final values from
+        ("sweep", "steps_budget", 0)])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
         out = str(tmp_path / "o")
         assert main(["gen-data", "--config", write_config(tmp_path / "c.json"),
@@ -91,7 +99,8 @@ class TestConfig:
         bad = write_config(tmp_path / "bad.json", **{key: value})
         probe = {"sparsity": "sparse_output", "sweep_L": "depth_sweep",
                  "sweep_arch": "depth_sweep", "tau_grid": "weight_lipschitz_flips",
-                 "beta_grid": "threshold_indices"}.get(key)
+                 "beta_grid": "threshold_indices", "ball_tau": "semismoothness",
+                 "markov_band": "surrogate_markov"}.get(key)
         capsys.readouterr()
         assert main([command, "--config", bad, "--out", out]
                     + (["--probes", probe] if probe else [])) == 4
@@ -284,6 +293,11 @@ class TestSweep:
         assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
         assert open(csv_path, "rb").read() == first
         assert open(cell, "rb").read() == whole
+
+    def test_rejected_sweep_writes_nothing(self, tmp_path):
+        bad = write_config(tmp_path / "bad.json", steps_budget=0)
+        assert main(["sweep", "--config", bad, "--out", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_csv_matches_depth_sweep_probe(self, tmp_path, cfg_file):
         sweep, probe = str(tmp_path / "sweep"), str(tmp_path / "probe")

@@ -95,6 +95,46 @@ class TestSums:
         assert numkit.frobenius_norm(x) == pytest.approx(naive, rel=1e-12)
 
 
+def _with_entry(shape, at, value, sign=1.0):
+    a = sign * RngState(10).standard_normal(shape)
+    a[at] = value
+    return a
+
+
+FINITENESS_CASES = {
+    "gradient": lambda: 1e-3 * RngState(11).standard_normal((128, 128)),
+    "zero": lambda: np.zeros((4, 5)),
+    "nan_first": lambda: _with_entry((128, 128), (0, 0), np.nan),
+    "nan_last": lambda: _with_entry((10, 128), (9, 127), np.nan, -1.0),
+    "inf_first": lambda: _with_entry((128, 128), (0, 0), np.inf),
+    "inf_last": lambda: _with_entry((128, 128), (127, 127), np.inf, -1.0),
+    "minus_inf_first": lambda: _with_entry((10, 128), (0, 0), -np.inf, -1.0),
+    "minus_inf_last": lambda: _with_entry((128, 128), (127, 127), -np.inf),
+    # every square overflows, one entry or all
+    "one_1e160": lambda: _with_entry((128, 128), (5, 7), 1e160),
+    "all_1e160": lambda: np.full((3, 3), -1e160),
+    # each square is finite, their sum is not
+    "all_1e153": lambda: np.full((256, 256), 1e153),
+    # past the bound, yet the norm is finite
+    "past_the_bound": lambda: np.full((256, 256), 1e150),
+}
+
+
+class TestFrobeniusFinite:
+    @pytest.mark.parametrize("case", FINITENESS_CASES)
+    def test_agrees_with_the_tree(self, case):
+        a = FINITENESS_CASES[case]()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert numkit.frobenius_finite(a) == bool(
+                np.isfinite(numkit.frobenius_norm(a)))
+
+    def test_ordinary_gradient_takes_no_tree(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr(numkit, "pairwise_sum", taken.append)
+        assert numkit.frobenius_finite(FINITENESS_CASES["gradient"]())
+        assert taken == []
+
+
 class TestSpectralNorm:
     """``spectral_norm``: Golub-Kahan-Lanczos bidiagonalization."""
 

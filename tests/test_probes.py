@@ -763,6 +763,13 @@ class TestDepthSweep:
                           "theta_per_L": 0.1, "eta_scale": 2.0, "steps_budget": 3,
                           "surrogate_target": 0.35}
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_step_budget_below_one_rejected(self, budget):
+        with pytest.raises(model.ConfigError, match="step budget"):
+            probes.depth_sweep(RngState(84), L_grid=(2,), arches=("residual",),
+                               d=6, m=16, n=40, gamma=0.05, M=32,
+                               steps_budget=budget)
+
     def test_plain_only_sweep_has_no_residual_ratio(self):
         rep = probes.depth_sweep(RngState(83), L_grid=(2, 3), arches=("plain",),
                                  d=6, m=16, n=40, gamma=0.05, M=32, steps_budget=3)

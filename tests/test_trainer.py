@@ -24,16 +24,16 @@ def small_problem():
     return params, ds
 
 
-def poison_gradient(monkeypatch, call, layer):
+def poison_gradient(monkeypatch, call, layer, fill=np.nan):
     """Makes layer ``layer`` of the ``call``-th gradient stream (counted
-    from 1 over every ``train`` from here on) all NaN."""
+    from 1 over every ``train`` from here on) all ``fill``."""
     calls = []
     stream = lossgrad._layer_gradients
 
     def poisoned(p, bt, w):
         calls.append(p)
         for l, g in stream(p, bt, w):
-            yield l, np.full_like(g, np.nan) if len(calls) == call and l == layer else g
+            yield l, np.full_like(g, fill) if len(calls) == call and l == layer else g
 
     monkeypatch.setattr(lossgrad, "_layer_gradients", poisoned)
 
@@ -199,6 +199,61 @@ class TestTrain:
         res = train(params, ds, TrainConfig(eta=0.05, steps=10, record_every=4))
         steps = [r.step for r in res.records]
         assert steps == [0, 4, 8, 10]
+
+    @pytest.mark.parametrize("steps, target", [(10, None), (500, 0.3)],
+                             ids=["budget", "early_stop"])
+    def test_record_cadence_changes_no_value(self, small_problem, steps, target):
+        # a sparse run's records are the dense run's at the same steps, and
+        # the run itself is the same; the early stop is the record a sweep
+        # cell reads
+        params, ds = small_problem
+        dense, sparse = (train(params, ds, TrainConfig(
+            eta=0.1, steps=steps, stop_surrogate=target, record_every=every))
+            for every in (1, 3))
+        last = dense.steps_run
+        assert dense.stopped_early == sparse.stopped_early == (target is not None)
+        assert last % 3 != 0  # the last record is one the cadence alone would skip
+        assert [r.step for r in dense.records] == list(range(last + 1))
+        assert [r.step for r in sparse.records] == list(range(0, last, 3)) + [last]
+        for rec in sparse.records:
+            assert rec == dense.records[rec.step]
+        assert ([w.tobytes() for w in sparse.params.weights]
+                == [w.tobytes() for w in dense.params.weights])
+        for key in ("best_step", "best_surrogate", "steps_run"):
+            assert getattr(sparse, key) == getattr(dense, key)
+
+    def test_unrecorded_steps_take_no_norms(self, small_problem, monkeypatch):
+        # a recorded step takes L+1 gradient and L+1 init-distance Frobenius
+        # norms and L+1 h_k norms; any other step takes none
+        params, ds = small_problem
+        counts = {"frobenius_norm": 0, "spectral_norm": 0}
+        for name in counts:
+            def counted(a, fn=getattr(numkit, name), name=name):
+                counts[name] += 1
+                return fn(a)
+            monkeypatch.setattr(numkit, name, counted)
+        res = train(params, ds, TrainConfig(eta=0.1, steps=10, record_every=4))
+        layers = params.depth + 1
+        assert len(res.records) == 4 and res.steps_run == 10
+        assert counts == {"frobenius_norm": 4 * 2 * layers,
+                          "spectral_norm": 4 * layers}
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e160])
+    def test_unrecorded_divergence_matches_a_recorded_one(self, small_problem,
+                                                          monkeypatch, fill):
+        # a gradient layer at step 2 whose Frobenius norm is not finite (NaN
+        # or infinite entries, or finite ones whose squares overflow) raises
+        # at step 2 whether or not step 2 is recorded
+        params, ds = small_problem
+        raised = []
+        for every in (1, 4):
+            poison_gradient(monkeypatch, call=3, layer=2, fill=fill)
+            with np.errstate(over="ignore"), pytest.raises(
+                    trainer.DivergenceError) as err:
+                train(params, ds, TrainConfig(eta=0.05, steps=6, record_every=every))
+            monkeypatch.undo()
+            raised.append((err.value.step, str(err.value)))
+        assert raised == [(2, "divergence at step 2: non-finite gradient")] * 2
 
     def test_divergence_raises_with_step_index(self, small_problem):
         params, ds = small_problem
