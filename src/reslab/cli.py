@@ -66,6 +66,13 @@ DEFAULTS = {
 # The type of each key whose default is null, which stays allowed.
 NULLABLE = {"m_last": 0, "stop_surrogate": 0.0, "data": "", "checkpoint": ""}
 
+# The least value of each key, or of each item of a list: a count below 1
+# would divide by zero or make a verdict from no trials (K may be 0, a run
+# with no step), and a margin or a radius is at least 0.
+LEAST = {**dict.fromkeys(("n", "M", "L", "heldout_n", "probe_inputs", "probe_draws",
+                          "trials", "xi_draws", "ascent_steps", "sweep_L"), 1),
+         "gamma": 0, "ball_tau": 0}
+
 PROBE_NAMES = [
     "activation_norms", "input_lipschitz", "weight_lipschitz_flips",
     "semismoothness", "gradient_bounds", "separability", "threshold_indices",
@@ -114,11 +121,20 @@ def load_config(path=None, overrides=None) -> dict:
                              f"of {like!r}")
         # JSON's NaN and Infinity parse as floats, which no key means
         if any(isinstance(item, float) and not math.isfinite(item)
-               for item in (value if isinstance(value, list) else [value])):
+               for item in _items(value)):
             raise UsageError(f"config value {key}={value!r} is not finite")
-    if cfg["probe_inputs"] < 1:
-        raise UsageError(f"probe_inputs must be at least 1, got {cfg['probe_inputs']}")
+    for key, least in LEAST.items():
+        if any(item < least for item in _items(cfg[key])):
+            raise UsageError(f"config value {key}={cfg[key]!r} must be at least {least}")
+    for key in ("tau_grid", "beta_grid"):
+        if not cfg[key] or any(item <= 0 for item in cfg[key]):
+            raise UsageError(f"config value {key}={cfg[key]!r} must be a nonempty "
+                             f"list of values above 0")
     return cfg
+
+
+def _items(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
 def _mistyped(value, like) -> bool:
@@ -295,34 +311,9 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_gradcheck(cfg) -> int:
-    """Analytic-vs-finite-difference gate on small random networks."""
-    rng = RngState(cfg["seed"]).substream("gradcheck")
-    nets = 20
-    h = 1e-4
-    worst = 0.0
-    checked = 0
-    skipped = 0
-    for t in range(nets):
-        params = model.init_gaussian(rng.substream(f"net/{t}"), 4, 6, 16, 16,
-                                     0.1 / 6, "residual")
-        x = rng.substream(f"x/{t}").standard_normal(4)
-        x /= np.linalg.norm(x)
-        trace = model.forward_batch(params, x[None, :])
-        entry_rng = rng.substream(f"entries/{t}")
-        for l in range(1, params.depth + 2):
-            g = lossgrad.output_gradient(params, trace, l)
-            rows_n, cols_n = g.shape
-            for _ in range(3):
-                i = int(entry_rng.integers(0, rows_n))
-                j = int(entry_rng.integers(0, cols_n))
-                fd = lossgrad.finite_diff_oracle(params, x, l, i, j, h)
-                if fd is None:
-                    skipped += 1
-                    continue
-                scale = max(abs(fd), abs(g[i, j]), 1e-12)
-                worst = max(worst, abs(fd - g[i, j]) / scale)
-                checked += 1
-    ok = worst <= 1e-5 and checked > 0
+    """``lossgrad.gradient_check`` on the seed's ``gradcheck`` substream."""
+    checked, skipped, worst, ok = lossgrad.gradient_check(
+        RngState(cfg["seed"]).substream("gradcheck"))
     print(f"gradcheck: {checked} flip-free entries, {skipped} skipped, "
           f"worst relative error {worst:.3e} -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

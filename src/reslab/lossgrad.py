@@ -21,7 +21,8 @@ the network outputs, so a caller that needs no gradient needs no trace
 (``model.forward_outputs``).  A central
 finite-difference oracle, which reports entries whose probes flip an
 activation pattern (the output is only piecewise linear in each weight),
-provides the independent check.
+provides the independent check, and ``gradient_check`` is the one gate
+built on it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .model import BatchTrace, NetworkParams, forward_batch
+from .model import BatchTrace, NetworkParams, forward_batch, init_gaussian
 
 
 class DataError(ValueError):
@@ -201,3 +202,37 @@ def finite_diff_oracle(params: NetworkParams, x: np.ndarray, l: int,
             return None
         outputs.append(probe.outputs[0])
     return float(outputs[0] - outputs[1]) / (2.0 * h)
+
+
+def gradient_check(rng: numkit.RngState) -> tuple:
+    """The lab's gradient gate: ``output_gradient`` against
+    ``finite_diff_oracle`` (step 1e-4) at 4 random entries of every layer
+    of 20 small residual nets (d=4, L=6, m=16, theta=0.1/6), each at one
+    unit input.  Net t, its input and its entries come from ``rng``'s
+    substreams ``net/{t}``, ``x/{t}`` and ``e/{t}``.
+
+    Returns (checked, skipped, worst, passed): the flip-free entries
+    compared, the entries skipped because a probe flipped a pattern, the
+    worst relative error |fd - g| / max(|fd|, |g|, 1e-12) over the compared
+    entries, and whether it is at most 1e-5 over at least 300 entries.
+    """
+    worst, checked, skipped = 0.0, 0, 0
+    for t in range(20):
+        params = init_gaussian(rng.substream(f"net/{t}"), 4, 6, 16, 16, 0.1 / 6)
+        x = rng.substream(f"x/{t}").standard_normal(4)
+        x /= np.linalg.norm(x)
+        trace = forward_batch(params, x[None, :])
+        entries = rng.substream(f"e/{t}")
+        for l in range(1, params.depth + 2):
+            g = output_gradient(params, trace, l)
+            for _ in range(4):
+                i = int(entries.integers(0, g.shape[0]))
+                j = int(entries.integers(0, g.shape[1]))
+                fd = finite_diff_oracle(params, x, l, i, j, 1e-4)
+                if fd is None:
+                    skipped += 1
+                    continue
+                denom = max(abs(fd), abs(g[i, j]), 1e-12)
+                worst = max(worst, abs(fd - g[i, j]) / denom)
+                checked += 1
+    return checked, skipped, float(worst), worst <= 1e-5 and checked >= 300

@@ -14,8 +14,10 @@ Forward evaluation is one stream over the layers that hands out each
 layer's activations with its binary activation pattern sigma_l(x) (bit j
 set iff the pre-activation of unit j is strictly positive).  A trace keeps
 every layer; a caller that reads only outputs, or one layer at a time,
-holds two.  Frozen-pattern interlayer operators propagate a vector from
-layer l to layer l' through the linearization the patterns define.
+holds two.  ``interlayer_norms`` takes the spectral norms of the
+frozen-pattern interlayer operators H_l^{l'}, the linearization the
+patterns define from layer l to layer l'.  Their rows vᵀ H_l^{L+1} are
+``lossgrad``'s backward rows.
 """
 
 from __future__ import annotations
@@ -222,11 +224,6 @@ def forward_outputs(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     return h @ params.v
 
 
-def _check_range(L: int, l: int, lp: int) -> None:
-    if not (1 <= l <= L + 2) or not (0 <= lp <= L + 1):
-        raise ShapeError(f"interlayer range ({l}, {lp}) out of bounds for L={L}")
-
-
 def _factor_apply(params, pattern, w, r, a):
     masked = pattern * (w.T @ a)
     if params.skip(r):
@@ -234,31 +231,15 @@ def _factor_apply(params, pattern, w, r, a):
     return masked
 
 
-def interlayer_apply(trace: BatchTrace, row: int, l: int, lp: int,
-                     a: Vector) -> Vector:
-    """H_l^{l'} · a with the frozen patterns of ``trace``'s row ``row``.
+def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
+    """Spectral norms of H_l^{l'} at ``trace``'s row ``row``, for each
+    (l, l') in ``pairs``, in order.
 
     For 2 <= l <= l' <= L, H_l^{l'} is the product of (I + theta*sigma_r W_rᵀ)
     over r = l..l'.  Boundary conventions: the r = 1 factor is sigma_1 W_1ᵀ
-    and the r = L+1 factor is sigma_{L+1} W_{L+1}ᵀ.  An empty range (l > l')
-    is the identity.  Patterns come from the trace and are never recomputed,
-    so the operator is linear even though the network is not.
-    """
-    params = trace.params
-    _check_range(params.depth, l, lp)
-    a = np.asarray(a, dtype=np.float64)
-    in_dim = params.dim_at(l - 1)
-    if a.shape != (in_dim,):
-        raise ShapeError(f"operand has shape {a.shape}, operator expects ({in_dim},)")
-    out = a
-    for r in range(l, lp + 1):
-        out = _factor_apply(params, trace.pattern(r)[row], params.weights[r - 1], r, out)
-    return out
-
-
-def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
-    """Spectral norms of H_l^{l'} (see ``interlayer_apply``) at ``trace``'s
-    row ``row``, for each (l, l') in ``pairs``, in order.
+    and the r = L+1 factor is sigma_{L+1} W_{L+1}ᵀ; the plain baseline uses
+    sigma_r W_rᵀ throughout.  Patterns come from the trace and are never
+    recomputed, so the operator is linear even though the network is not.
 
     Each start layer's operator is formed once, from the identity, applying
     each factor to every column at once; its top singular value is taken
@@ -269,7 +250,9 @@ def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
     params = trace.params
     ends = {}
     for i, (l, lp) in enumerate(pairs):
-        _check_range(params.depth, l, lp)
+        if not (1 <= l <= params.depth + 2) or not (0 <= lp <= params.depth + 1):
+            raise ShapeError(f"interlayer range ({l}, {lp}) out of bounds for "
+                             f"L={params.depth}")
         ends.setdefault(l, []).append((lp, i))
     norms = [None] * len(pairs)
     for l, wanted in ends.items():

@@ -33,8 +33,7 @@ import numpy as np
 from . import lossgrad, numkit, trainer
 from .data import MarginDataset, Teacher, make_dataset, write_csv, write_json
 from .model import (ConfigError, NetworkParams, _forward_layers, forward_batch,
-                    forward_outputs, init_gaussian, interlayer_apply,
-                    interlayer_norms)
+                    forward_outputs, init_gaussian, interlayer_norms)
 from .numkit import RngState
 
 VERDICT_HOLD = "hold"
@@ -272,8 +271,9 @@ def _layered_weight_basis(params, wa, wb):
     """Per-layer accumulations of spectral weight differences.
 
     basis[l] corresponds to the bound for ||x^a_l - x^b_l||: layer 1 uses
-    ||d_1||, layers 2..L add theta * sum_{r<=l} ||d_r||, and the output
-    layer adds ||d_{L+1}||.
+    ||d_1||, layers 2..L add s * sum_{r<=l} ||d_r|| with s their common
+    layer scale (theta on a residual net, 1 on the plain baseline), and the
+    output layer adds ||d_{L+1}||, so basis[L+1] is the step distance.
     """
     L = params.depth
     d_spec = [numkit.spectral_norm(a - b) for a, b in zip(wa, wb)]
@@ -282,7 +282,7 @@ def _layered_weight_basis(params, wa, wb):
     run = 0.0
     for l in range(2, L + 1):
         run += d_spec[l - 1]
-        basis[l] = d_spec[0] + params.theta * run
+        basis[l] = d_spec[0] + params.layer_scale(l) * run
     basis[L + 1] = basis[L] + d_spec[L]
     return basis
 
@@ -293,7 +293,8 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
     """Weight-space Lipschitz constant and flip-count scaling over tau.
 
     For pairs drawn in each tau-ball: (a) fits C2 in the layered bound
-    ||x^a_l - x^b_l|| <= C2 * (||d_1|| + theta * sum ||d_r|| [+ ||d_{L+1}||]),
+    ||x^a_l - x^b_l|| <= C2 * (||d_1|| + s * sum ||d_r|| [+ ||d_{L+1}||]),
+    s the middle layers' scale (``_layered_weight_basis``),
     and (b) fits C3 in  flips_l <= C3 * m_l * tau^(2/3), plus the log-log
     slope of mean flips against tau (theory predicts exponent 2/3).
     """
@@ -455,19 +456,16 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
 
     def trial(kind, wa, i):
         btb, center_rows = centers[i]
-        lin, lin_loss = np.zeros(btb.n), 0
-
-        def differences():  # each one serves h, lin and lin_loss, then goes
-            nonlocal lin, lin_loss
-            for (l, _, masked), w, w0 in zip(reversed(center_rows), wa.weights,
-                                             params.weights):
-                d = w - w0
-                lin = lin + _linear_term(params, btb, l, masked, d)
-                if gb is not None:
-                    lin_loss += float(np.sum(d * gb.layers[l - 1]))
-                yield d
-
-        h = trainer.step_distance(params, differences())
+        lin, lin_loss, norms = np.zeros(btb.n), 0, []
+        for (l, _, masked), w, w0 in zip(reversed(center_rows), wa.weights,
+                                         params.weights):
+            d = w - w0  # serves h, lin and lin_loss, then goes
+            norms.append(numkit.spectral_norm(d))
+            lin = lin + _linear_term(params, btb, l, masked, d)
+            if gb is not None:
+                lin_loss += float(np.sum(d * gb.layers[l - 1]))
+            del d
+        h = trainer.step_distance(params, norms)
         bta = forward_batch(wa, xs[i][None, :])
         resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
         flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
@@ -737,8 +735,9 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
                         sparsity: int, trials: int = 20) -> ProbeReport:
     """max_l |vᵀ H_l^{L+1} a| for s-sparse unit a, against tau sqrt(m) + sqrt(s log m).
 
-    The interlayer operators use the perturbed network's own patterns at a
-    fresh sphere input per trial.
+    The rows vᵀ H_l^{L+1}, l = 2..L+1, are the backward rows g_1..g_L of
+    ``lossgrad._backward_rows`` at the perturbed network's own patterns
+    at a fresh sphere input per trial, so a is drawn at the hidden width.
     """
     m = params.m
     L = params.depth
@@ -753,9 +752,9 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
         x /= np.linalg.norm(x)
         wt = ball.draw()
         trace = forward_batch(wt, x[None, :])
-        a = _sparse_unit(rng, m, sparsity)
-        worst = max(abs(float(params.v @ interlayer_apply(trace, 0, l, L + 1, a)))
-                    for l in range(2, L + 2))
+        a = _sparse_unit(rng, params.widths[0], sparsity)
+        worst = max(abs(float(g[0] @ a))
+                    for l, g, _ in lossgrad._backward_rows(wt, trace) if l <= L)
         fitted = max(fitted, worst / basis)
         rows.append([t, worst, basis])
         del wt, trace  # the next draw is made with this one gone

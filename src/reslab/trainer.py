@@ -93,25 +93,16 @@ class TrainResult:
     steps_run: int = 0
 
 
-def step_distance(params: NetworkParams, diffs) -> float:
-    """Spectral step distance h = sum_l s_l ||d_l||_2 of ``diffs``, the
-    per-layer differences d_l = W'_l - W_l of two weight collections
-    shaped like ``params``, in layer order l = 1..L+1, with s_l the layer
-    scale; zero iff every difference is.
-
-    ``diffs`` may be a generator: each difference is read once, as it
-    arrives, so a caller that forms them one at a time holds one.
-    """
-    layers = params.depth + 1
+def step_distance(params: NetworkParams, norms) -> float:
+    """Spectral step distance h = sum_l s_l ||d_l||_2, with ``norms`` the
+    per-layer spectral norms ||d_l||_2 of the differences d_l = W'_l - W_l
+    of two weight collections shaped like ``params``, in layer order
+    l = 1..L+1, and s_l the layer scale; added from 0 left to right."""
+    if len(norms) != params.depth + 1:
+        raise ValueError(f"{len(norms)} layer norms for {params.depth + 1} layers")
     total = 0.0
-    l = 0
-    for l, d in enumerate(diffs, start=1):
-        if l > layers or d.shape != params.weights[l - 1].shape:
-            raise ValueError(f"difference {l} of shape {d.shape} does not match "
-                             f"the network's {layers} layers")
-        total += params.layer_scale(l) * numkit.spectral_norm(d)
-    if l != layers:
-        raise ValueError(f"{l} layer differences for {layers} layers")
+    for l, n in enumerate(norms, start=1):
+        total += params.layer_scale(l) * n
     return total
 
 
@@ -164,7 +155,6 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
         return result  # zero budget: the untouched init, empty trajectory
     init = params
     init_patterns = None  # from step 0's trace
-    scales = [params.layer_scale(l) for l in range(1, params.depth + 2)]
     best = np.inf
     for k in range(cfg.steps + 1):
         bt = forward_batch(params, xs)
@@ -179,8 +169,8 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
         stepping = not stopping and k < cfg.steps
         if recording:
             fields = _forward_fields(params, init, bt, init_patterns, ys)
-            grad_frob = [None] * len(scales)
-            h_norms = [None] * len(scales)
+            grad_frob = [None] * len(params.weights)
+            h_norms = [None] * len(params.weights)
         weights = list(params.weights)
         for l, g in lossgrad._layer_gradients(params, bt, sample_w):
             if recording:
@@ -202,7 +192,7 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
             result.records.append(TrajectoryRecord(
                 step=k, loss=loss, surrogate=surrogate,
                 grad_frob=tuple(grad_frob),
-                h=cfg.eta * sum(s * g for s, g in zip(scales, h_norms)),
+                h=cfg.eta * step_distance(params, h_norms),
                 **fields))
         if surrogate < best:
             best = surrogate

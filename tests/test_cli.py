@@ -91,7 +91,15 @@ class TestConfig:
         ("train", "eta_scale", math.inf), ("train", "stop_surrogate", math.nan),
         ("probe", "tau_grid", [0.1, math.inf]), ("probe", "beta_grid", [math.nan]),
         # a cell trained for no step has no record to read its final values from
-        ("sweep", "steps_budget", 0)])
+        ("sweep", "steps_budget", 0),
+        # a count of 0, an empty or nonpositive grid, or a negative margin or
+        # radius: a verdict from no trials, or a traceback
+        ("train", "n", 0), ("train", "M", 0), ("train", "L", 0),
+        ("probe", "heldout_n", 0), ("probe", "probe_draws", 0), ("probe", "trials", 0),
+        ("probe", "xi_draws", 0), ("probe", "ascent_steps", 0), ("sweep", "sweep_L", [0]),
+        ("probe", "tau_grid", []), ("probe", "beta_grid", []),
+        ("probe", "tau_grid", [0.0, 0.1]), ("probe", "beta_grid", [-0.1, 0.1]),
+        ("train", "gamma", -0.1), ("probe", "ball_tau", -0.1)])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
         out = str(tmp_path / "o")
         assert main(["gen-data", "--config", write_config(tmp_path / "c.json"),
@@ -100,7 +108,9 @@ class TestConfig:
         probe = {"sparsity": "sparse_output", "sweep_L": "depth_sweep",
                  "sweep_arch": "depth_sweep", "tau_grid": "weight_lipschitz_flips",
                  "beta_grid": "threshold_indices", "ball_tau": "semismoothness",
-                 "markov_band": "surrogate_markov"}.get(key)
+                 "markov_band": "surrogate_markov", "heldout_n": "surrogate_markov",
+                 "probe_draws": "weight_lipschitz_flips", "trials": "sparse_output",
+                 "xi_draws": "rademacher", "ascent_steps": "rademacher"}.get(key)
         capsys.readouterr()
         assert main([command, "--config", bad, "--out", out]
                     + (["--probes", probe] if probe else [])) == 4

@@ -58,24 +58,16 @@ class TestXent:
 
 class TestOutputGradient:
     def test_matches_finite_differences_on_flip_free_entries(self):
-        h = 1e-4
-        worst = 0.0
-        for seed in range(3):
-            p = net(seed)
-            x = unit(RngState(100 + seed).standard_normal(4))
-            t = forward(p, x)
-            ernd = RngState(200 + seed)
-            for l in range(1, p.depth + 2):
-                g = output_gradient(p, t, l)
-                for _ in range(4):
-                    i = int(ernd.integers(0, g.shape[0]))
-                    j = int(ernd.integers(0, g.shape[1]))
-                    fd = finite_diff_oracle(p, x, l, i, j, h)
-                    if fd is None:
-                        continue
-                    denom = max(abs(fd), abs(g[i, j]), 1e-12)
-                    worst = max(worst, abs(fd - g[i, j]) / denom)
-        assert worst <= 1e-5
+        checked, skipped, worst, passed = lossgrad.gradient_check(RngState(17))
+        assert passed and worst <= 1e-5
+        assert checked >= 300 and checked + skipped == 20 * 7 * 4
+
+    def test_gradient_check_fails_on_a_wrong_layer(self, monkeypatch):
+        right = lossgrad.output_gradient
+        monkeypatch.setattr(lossgrad, "output_gradient",
+                            lambda p, t, l: right(p, t, l) * (1.0 + 1e-4 * (l == 3)))
+        checked, _, worst, passed = lossgrad.gradient_check(RngState(17))
+        assert checked >= 300 and worst > 1e-5 and not passed
 
     def test_flip_free_entries_are_exactly_linear(self):
         # with frozen patterns the output is linear in any single weight

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from reslab import model, numkit
-from reslab.model import (forward_batch, init_gaussian, interlayer_apply,
-                          interlayer_norms, load_checkpoint, output_vector,
-                          save_checkpoint)
+from reslab import lossgrad, model, numkit
+from reslab.model import (BatchTrace, forward_batch, init_gaussian, interlayer_norms,
+                          load_checkpoint, output_vector, save_checkpoint)
 from reslab.numkit import RngState
 
 
@@ -231,39 +230,6 @@ class TestForward:
 
 
 class TestInterlayer:
-    def test_identity_when_range_is_empty(self):
-        p = small_net()
-        t = forward(p, unit(np.ones(4)))
-        a = RngState(0).standard_normal(8)
-        np.testing.assert_array_equal(interlayer_apply(t, 0, 3, 2, a), a)
-
-    def test_output_identity_at_every_split(self):
-        for arch in ("residual", "plain"):
-            p = small_net(seed=12, L=4, m=12, m_last=12, arch=arch)
-            x = unit(RngState(13).standard_normal(4))
-            t = forward(p, x)
-            for l in range(0, p.depth + 2):
-                # vᵀ H_{l+1}^{L+1} x_l
-                out = p.v @ interlayer_apply(t, 0, l + 1, p.depth + 1, t.activations[l][0])
-                assert float(out) == pytest.approx(t.outputs[0], abs=1e-10)
-
-    def test_theta_zero_middle_product_is_identity(self):
-        p = small_net(seed=14, theta=0.0)
-        t = forward(p, unit(RngState(15).standard_normal(4)))
-        a = RngState(16).standard_normal(8)
-        np.testing.assert_array_equal(interlayer_apply(t, 0, 2, p.depth, a), a)
-        assert interlayer_norms(t, 0, [(2, p.depth)])[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_norm_matches_dense_oracle(self):
-        p = small_net(seed=20, L=4, m=24, m_last=24)
-        t = forward(p, unit(RngState(21).standard_normal(4)))
-        for (l, lp) in ((2, 4), (1, 5), (2, 5)):
-            dense = np.column_stack([interlayer_apply(t, 0, l, lp, e)
-                                     for e in np.eye(p.dim_at(l - 1))])
-            oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
-            assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(
-                oracle, rel=1e-8)
-
     @staticmethod
     def dense_h(p, t, l, lp):
         """H_l^{l'} multiplied out from the weights and the trace's patterns."""
@@ -275,6 +241,55 @@ class TestInterlayer:
             h = f @ h
         return h
 
+    def test_identity_when_range_is_empty(self):
+        p = small_net()
+        t = forward(p, unit(np.ones(4)))
+        assert interlayer_norms(t, 0, [(3, 2), (p.depth + 2, p.depth + 1)]) == (
+            pytest.approx([1.0, 1.0], abs=1e-12))
+        # the top backward row is vᵀ H_{L+2}^{L+1} = v itself
+        l, g, _ = next(lossgrad._backward_rows(p, t))
+        assert l == p.depth + 1 and np.array_equal(g[0], p.v)
+
+    def test_output_identity_at_every_split(self):
+        for arch in ("residual", "plain"):
+            p = small_net(seed=12, L=4, m=12, m_last=12, arch=arch)
+            x = unit(RngState(13).standard_normal(4))
+            t = forward(p, x)
+            # vᵀ H_{l+1}^{L+1} x_l = f(x): the backward row g_l for l >= 1,
+            # the dense product for l = 0
+            for l, g, _ in lossgrad._backward_rows(p, t):
+                out = g[0] @ t.activations[l][0]
+                assert float(out) == pytest.approx(t.outputs[0], abs=1e-10)
+            out = p.v @ self.dense_h(p, t, 1, p.depth + 1) @ x
+            assert float(out) == pytest.approx(t.outputs[0], abs=1e-10)
+
+    def test_theta_zero_middle_product_is_identity(self):
+        p = small_net(seed=14, theta=0.0)
+        t = forward(p, unit(RngState(15).standard_normal(4)))
+        assert interlayer_norms(t, 0, [(2, p.depth)])[0] == pytest.approx(1.0, abs=1e-12)
+        # the backward row passes the middle layers unchanged
+        rows = {l: g[0] for l, g, _ in lossgrad._backward_rows(p, t)}
+        for l in range(1, p.depth):
+            np.testing.assert_array_equal(rows[l], rows[p.depth])
+
+    def test_norm_matches_dense_oracle(self):
+        p = small_net(seed=20, L=4, m=24, m_last=24)
+        t = forward(p, unit(RngState(21).standard_normal(4)))
+        for (l, lp) in ((2, 4), (1, 5), (2, 5)):
+            oracle = float(np.linalg.svd(self.dense_h(p, t, l, lp), compute_uv=False)[0])
+            assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(
+                oracle, rel=1e-8)
+
+    def test_backward_rows_are_the_dense_rows(self):
+        # g_l = vᵀ H_{l+1}^{L+1}, the rows the sparse-output probe reads
+        L = 5
+        for arch in ("residual", "plain"):
+            p = small_net(seed=30, d=4, L=L, m=16, m_last=12, theta=0.2 / L, arch=arch)
+            t = forward(p, unit(RngState(31).standard_normal(4)))
+            for l, g, _ in lossgrad._backward_rows(p, t):
+                np.testing.assert_allclose(g[0], p.v @ self.dense_h(p, t, l + 1, L + 1),
+                                           rtol=1e-12, atol=1e-14)
+
     def test_norm_matches_svd_of_dense_product(self):
         L = 5
         for arch in ("residual", "plain"):
@@ -283,9 +298,6 @@ class TestInterlayer:
             for (l, lp) in ((1, L), (2, L + 1), (1, L + 1), (2, L), (3, 3),
                             (L + 1, L + 1), (3, 2), (L + 2, L + 1)):
                 dense = self.dense_h(p, t, l, lp)
-                a = RngState(32).standard_normal(p.dim_at(l - 1))
-                np.testing.assert_allclose(interlayer_apply(t, 0, l, lp, a), dense @ a,
-                                           rtol=1e-12, atol=1e-14)
                 oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
                 if l > lp:
                     assert oracle == 1.0
@@ -348,22 +360,23 @@ class TestInterlayer:
     def test_range_validation(self):
         p = small_net()
         t = forward(p, unit(np.ones(4)))
-        with pytest.raises(model.ShapeError):
-            interlayer_apply(t, 0, 0, 2, np.ones(4))
-        with pytest.raises(model.ShapeError):
-            interlayer_apply(t, 0, 2, p.depth + 2, np.ones(8))
-        with pytest.raises(model.ShapeError):
-            interlayer_apply(t, 0, 2, 3, np.ones(5))
+        for bad in ((0, 2), (2, p.depth + 2), (p.depth + 3, p.depth + 1)):
+            with pytest.raises(model.ShapeError):
+                interlayer_norms(t, 0, [bad])
 
     def test_patterns_frozen_not_recomputed(self):
-        # applying to a vector far from the trace input must reuse the
-        # trace's own patterns
+        # the operators and the backward rows read the trace's patterns and
+        # never recompute them from its activations: on a trace whose
+        # patterns are all flipped, they follow the flipped patterns
         p = small_net(seed=24)
-        x = unit(RngState(25).standard_normal(4))
-        t = forward(p, x)
-        a = RngState(26).standard_normal(8) * 100.0
-        expected = a + p.theta * (t.pattern(2)[0] * (p.weights[1].T @ a))
-        np.testing.assert_allclose(interlayer_apply(t, 0, 2, 2, a), expected, rtol=1e-12)
+        t = forward(p, unit(RngState(25).standard_normal(4)))
+        flipped = BatchTrace(p, t.activations, tuple(~s for s in t.patterns), t.outputs)
+        oracle = float(np.linalg.svd(self.dense_h(p, flipped, 2, 2), compute_uv=False)[0])
+        assert interlayer_norms(flipped, 0, [(2, 2)])[0] == pytest.approx(oracle, rel=1e-10)
+        assert interlayer_norms(t, 0, [(2, 2)])[0] != pytest.approx(oracle, rel=1e-6)
+        *_, (l, g, _) = lossgrad._backward_rows(p, flipped)
+        np.testing.assert_allclose(g[0], p.v @ self.dense_h(p, flipped, 2, p.depth + 1),
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestCheckpoint:

@@ -235,6 +235,19 @@ class TestWeightLipschitzFlips:
         assert rep.trials == 3
         assert peak < 3 * size
 
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_basis_top_is_the_step_distance(self, arch):
+        # the layered basis takes each layer's scale from the skip rule, so
+        # its output layer is the pair's spectral step distance
+        rng = RngState(33)
+        params = init_gaussian(rng.substream("init"), 6, 5, 24, 24, 0.1 / 5, arch)
+        ball = probes.PerturbationBall(params, 0.1, rng.substream("ball"))
+        wa, wb = ball.draw(), ball.draw()
+        basis = probes._layered_weight_basis(params, wa.weights, wb.weights)
+        h = trainer.step_distance(params, [numkit.spectral_norm(a - b) for a, b
+                                           in zip(wa.weights, wb.weights)])
+        assert basis[params.depth + 1] == pytest.approx(h, rel=1e-12)
+
 
 class TestSemismoothness:
     def test_control_residual_exactly_zero(self, toy):
@@ -492,12 +505,37 @@ class TestThresholdIndices:
 class TestSparseOutput:
     def test_zero_direction_maps_to_zero(self, toy):
         rng, _, _, params = toy
-        a = np.zeros(params.m)
-        from reslab.model import forward_batch, interlayer_apply
-        x = sphere(rng.substream("xsp"), 1, params.d)[0]
-        tr = forward_batch(params, x[None, :])
-        out = interlayer_apply(tr, 0, 2, params.depth + 1, a)
-        assert float(params.v @ out) == 0.0
+        tr = forward_batch(params, sphere(rng.substream("xsp"), 1, params.d))
+        for _, g, _ in lossgrad._backward_rows(params, tr):
+            assert float(g[0] @ np.zeros(params.m)) == 0.0
+
+    def test_matches_the_dense_interlayer_rows(self, toy):
+        # each trial's max_output is max_l |vᵀ H_l^{L+1} a| with H multiplied
+        # out from the draw's weights and its patterns at the trial's input,
+        # replaying the probe's own draws
+        _, _, _, params = toy
+        L = params.depth
+        rep = probes.probe_sparse_output(params, RngState(92), 0.1, 8, trials=4)
+        rng = RngState(92)
+        ball = probes.PerturbationBall(params, 0.1, rng.substream("ball"))
+        for _, max_output, _ in rep.details:
+            x = rng.standard_normal(params.d)
+            x /= np.linalg.norm(x)
+            wt = ball.draw()
+            pats = forward_batch(wt, x[None, :]).patterns
+            a = probes._sparse_unit(rng, params.m, 8)
+            row, worst = params.v, 0.0
+            for r in range(L + 1, 1, -1):  # row = vᵀ H_r^{L+1}
+                f = pats[r - 1][0][:, None] * wt.weights[r - 1].T
+                row = row @ (np.eye(f.shape[0]) + wt.theta * f if wt.skip(r) else f)
+                worst = max(worst, abs(float(row @ a)))
+            assert max_output == pytest.approx(worst, rel=1e-12)
+
+    def test_runs_below_a_narrower_output_layer(self):
+        # a lives at the hidden width even when m = m_last is smaller
+        params = init_gaussian(RngState(93), 6, 3, 32, 16, 0.1 / 3)
+        rep = probes.probe_sparse_output(params, RngState(94), 0.1, 4, trials=2)
+        assert rep.trials == 2 and rep.config["m"] == 16
 
     def test_grows_with_sparsity(self, toy):
         rng, _, _, params = toy
