@@ -268,6 +268,8 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
 def cmd_probe(cfg) -> int:
     names = PROBE_NAMES if cfg["probes"] == "all" else [
         s.strip() for s in str(cfg["probes"]).split(",") if s.strip()]
+    if not names:
+        raise UsageError(f"no probe named; valid: all, {', '.join(PROBE_NAMES)}")
     unknown = [nm for nm in names if nm not in PROBE_NAMES]
     if unknown:
         raise UsageError(f"unknown probes {unknown}; valid: {', '.join(PROBE_NAMES)}")

@@ -22,7 +22,7 @@ the network outputs, so a caller that needs no gradient needs no trace
 finite-difference oracle, which reports entries whose probes flip an
 activation pattern (the output is only piecewise linear in each weight),
 provides the independent check, and ``gradient_check`` is the one gate
-built on it.
+built on it, run on the gradient stream itself.
 """
 
 from __future__ import annotations
@@ -84,17 +84,6 @@ def _backward_rows(params: NetworkParams, bt: BatchTrace):
             back = masked @ params.weights[l - 1].T
             g = g + params.theta * back if params.skip(l) else back
             del back  # not held through the next yield
-
-
-def output_gradient(params: NetworkParams, trace: BatchTrace, l: int) -> np.ndarray:
-    """Analytic gradient of the network output with respect to W_l at the
-    input of a one-row trace."""
-    L = params.depth
-    if not 1 <= l <= L + 1:
-        raise IndexError(f"layer {l} out of range 1..{L + 1}")
-    b = next(m for k, _, m in _backward_rows(params, trace) if k == l)[0]
-    a = trace.activations[l - 1][0]
-    return params.layer_scale(l) * np.outer(a, b)
 
 
 def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
@@ -205,11 +194,14 @@ def finite_diff_oracle(params: NetworkParams, x: np.ndarray, l: int,
 
 
 def gradient_check(rng: numkit.RngState) -> tuple:
-    """The lab's gradient gate: ``output_gradient`` against
-    ``finite_diff_oracle`` (step 1e-4) at 4 random entries of every layer
-    of 20 small residual nets (d=4, L=6, m=16, theta=0.1/6), each at one
-    unit input.  Net t, its input and its entries come from ``rng``'s
-    substreams ``net/{t}``, ``x/{t}`` and ``e/{t}``.
+    """The lab's gradient gate: the gradient stream GD takes, on a one-row
+    trace with weight 1, against ``finite_diff_oracle`` (step 1e-4) at 4
+    random entries of every layer of 20 small nets (d=4, L=6, m=16,
+    theta=0.1/6), each at one unit input.  Net t is residual for even t
+    and plain for odd t, with output width m_last = (16, 10, 24)[(t // 2)
+    % 3]; it, its input and its entries come from ``rng``'s substreams
+    ``net/{t}``, ``x/{t}`` and ``e/{t}``, the entries layer by layer from
+    1 to L+1.
 
     Returns (checked, skipped, worst, passed): the flip-free entries
     compared, the entries skipped because a probe flipped a pattern, the
@@ -218,13 +210,16 @@ def gradient_check(rng: numkit.RngState) -> tuple:
     """
     worst, checked, skipped = 0.0, 0, 0
     for t in range(20):
-        params = init_gaussian(rng.substream(f"net/{t}"), 4, 6, 16, 16, 0.1 / 6)
+        params = init_gaussian(rng.substream(f"net/{t}"), 4, 6, 16,
+                               (16, 10, 24)[(t // 2) % 3], 0.1 / 6,
+                               ("residual", "plain")[t % 2])
         x = rng.substream(f"x/{t}").standard_normal(4)
         x /= np.linalg.norm(x)
         trace = forward_batch(params, x[None, :])
         entries = rng.substream(f"e/{t}")
+        layers = dict(_layer_gradients(params, trace, np.ones(1)))
         for l in range(1, params.depth + 2):
-            g = output_gradient(params, trace, l)
+            g = layers[l]
             for _ in range(4):
                 i = int(entries.integers(0, g.shape[0]))
                 j = int(entries.integers(0, g.shape[1]))

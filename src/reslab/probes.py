@@ -1,13 +1,18 @@
 """Empirical probes: one measured quantity per provable bound.
 
-Each probe evaluates the bounded quantity over seeded trials, computes the
-bound's right-hand side, and fits the smallest constant that makes the bound
-hold over every trial (the pointwise max of measured/basis, so adding trials
-can only grow a fitted upper constant).  A probe's verdict is ``hold`` iff
-the measured value stays within the bound expression in every trial; when no
-externally configured constant exists, the bound uses the fitted one and the
-interesting output is the fitted constant's stability across widths and
-depths, which the acceptance suite tracks.
+Each probe evaluates the bounded quantity over seeded trials, one details
+row each, against the bound's right-hand side.  Where no external constant
+exists, ``_fit`` fits one from the rows the probe writes, the max of
+measured/basis, so more trials can only grow it; its stability across
+widths and depths, which the acceptance suite tracks, is the output.  A
+verdict checks an external limit in ``activation_norms``, ``separability``,
+``surrogate_markov`` and ``depth_sweep``; only a side condition in
+``semismoothness`` (its control residual is 0), ``gradient_bounds`` (its
+lower constant is positive, its upper one finite) and ``rademacher`` (no
+ascent diverged); and holds by construction, the bound being fitted over
+the same rows, in ``weight_lipschitz_flips``, ``threshold_indices`` and
+``sparse_output`` (through ``_fit``), ``input_lipschitz`` and
+``loss_at_init``.
 
 Ball probes hold one draw at a time: each draw or pair, and every trace
 that pins it, is dropped before the next is made.  Probes that read only
@@ -16,8 +21,11 @@ or the forward stream and hold no trace.  The Rademacher ascent steps and
 projects each layer as it leaves ``lossgrad``'s gradient stream, writing
 into the iterate's own buffers from its second step on.
 
-Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv`` and
-are recomputable from the details alone.
+Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv``.
+A report's fit, bound, verdict and measured values are recomputable from
+its details rows and the configs, but for three measured values:
+semismoothness's ``control_residual``, ``gradient_bounds``'
+``column_sets`` and ``input_lipschitz``'s ``pairs_used``.
 """
 
 from __future__ import annotations
@@ -75,6 +83,17 @@ class ProbeReport:
 
 def _verdict(ok: bool) -> str:
     return VERDICT_HOLD if ok else VERDICT_VIOLATED
+
+
+FIT_SLACK = 1e-9  # rounding a fitted constant's within-check forgives
+
+
+def _fit(rows, value, basis, empty=0.0) -> tuple:
+    """c, the max of row[value] / row[basis] over the rows with a positive
+    basis (``empty`` if none), and whether every row has row[value] <=
+    c * row[basis] + ``FIT_SLACK`` or a zero basis."""
+    c = max((r[value] / r[basis] for r in rows if r[basis] > 0), default=empty)
+    return c, all(r[value] <= c * r[basis] + FIT_SLACK or r[basis] == 0 for r in rows)
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -188,26 +207,20 @@ def probe_activation_norms(params: NetworkParams, inputs, h_inputs=5) -> ProbeRe
     h_limit = math.exp(3.0 * params.theta * L) if params.arch == "residual" else float("inf")
 
     rows = []
-    ok = True
-    xnorm_min, xnorm_max = np.inf, -np.inf
     for l in range(1, L + 2):
         norms = np.linalg.norm(bt.activations[l], axis=1)
-        lo, hi = float(np.min(norms)), float(np.max(norms))
-        xnorm_min, xnorm_max = min(xnorm_min, lo), max(xnorm_max, hi)
-        ok = ok and (lo >= norm_low) and (hi <= norm_high)
-        rows.append(["xnorm", l, 0, lo, hi])
-
-    h_mid_max = 0.0
-    h_all_max = 0.0
+        rows.append(["xnorm", l, 0, float(np.min(norms)), float(np.max(norms))])
     pairs = _default_layer_pairs(L)
     for i in range(min(h_inputs, xs.shape[0])):
         for (l, lp), hn in zip(pairs, interlayer_norms(bt, i, pairs)):
-            h_all_max = max(h_all_max, hn)
-            if 2 <= l and lp <= L:
-                h_mid_max = max(h_mid_max, hn)
-                ok = ok and hn <= h_limit
             rows.append(["hnorm", l, lp, hn, hn])
 
+    xnorm_min = min(r[3] for r in rows if r[0] == "xnorm")
+    xnorm_max = max(r[4] for r in rows if r[0] == "xnorm")
+    h_all_max = max((r[3] for r in rows if r[0] == "hnorm"), default=0.0)
+    h_mid_max = max((r[3] for r in rows if r[0] == "hnorm" and 2 <= r[1] and r[2] <= L),
+                    default=0.0)
+    ok = norm_low <= xnorm_min and xnorm_max <= norm_high and h_mid_max <= h_limit
     return ProbeReport(
         name="activation_norms",
         measured={"xnorm_min": xnorm_min, "xnorm_max": xnorm_max,
@@ -231,24 +244,20 @@ MIN_PAIR_DIST = 1e-6  # input pairs closer than this are left out of the fit
 
 
 def probe_input_lipschitz(params: NetworkParams, pairs) -> ProbeReport:
-    """Fitted constant for ||x_l - x_l'|| <= C ||x - x'|| over input pairs.
-
-    The bound is the fitted constant itself, so the verdict always holds;
-    the constant's stability is the output.
-    """
+    """Fitted constant for ||x_l - x_l'|| <= C ||x - x'|| over input pairs,
+    which is also the bound."""
     xs_a, xs_b = (np.atleast_2d(np.asarray(p, dtype=np.float64)) for p in pairs)
     bt_a = forward_batch(params, xs_a)
     bt_b = forward_batch(params, xs_b)
     base = np.linalg.norm(xs_a - xs_b, axis=1)
     keep = base >= MIN_PAIR_DIST
     rows = []
-    fitted = 0.0
     for l in range(1, params.depth + 2):
         diff = np.linalg.norm(bt_a.activations[l] - bt_b.activations[l], axis=1)
         ratios = diff[keep] / base[keep]
         if ratios.size:
-            fitted = max(fitted, float(np.max(ratios)))
             rows.append([l, float(np.max(ratios)), float(np.mean(ratios))])
+    fitted = max((r[1] for r in rows), default=0.0)
     return ProbeReport(
         name="input_lipschitz",
         measured={"fitted_constant": fitted, "pairs_used": int(np.count_nonzero(keep))},
@@ -301,12 +310,8 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     L = params.depth
     rows = []
-    fitted_c2 = 0.0
-    fitted_c3 = 0.0
-    mean_flips = []
     for tau in tau_grid:
         ball = PerturbationBall(params, tau, rng.substream(f"ball/{tau}"))
-        flips_here = []
         for t in range(draws):
             wa = ball.draw()
             wb = ball.draw()
@@ -316,20 +321,16 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
             for l in range(1, L + 2):
                 dist = float(np.max(np.linalg.norm(
                     bta.activations[l] - btb.activations[l], axis=1)))
-                if basis[l] > 0:
-                    fitted_c2 = max(fitted_c2, dist / basis[l])
                 flips = int(np.max(np.count_nonzero(
                     bta.pattern(l) != btb.pattern(l), axis=1)))
-                m_l = params.widths[l - 1]
-                fitted_c3 = max(fitted_c3, flips / (m_l * tau ** (2.0 / 3.0)))
-                flips_here.append(flips)
                 rows.append([tau, t, l, dist, basis[l], flips,
-                             m_l * tau ** (2.0 / 3.0)])
+                             params.widths[l - 1] * tau ** (2.0 / 3.0)])
             del wa, wb, bta, btb  # the next pair is drawn with this one gone
-        mean_flips.append(float(np.mean(flips_here)))
 
+    mean_flips = [float(np.mean([r[5] for r in rows if r[0] == tau])) for tau in tau_grid]
     slope = _loglog_slope(tau_grid, mean_flips)  # over grid cells with any flips
-    ok = all(r[3] <= fitted_c2 * r[4] + 1e-12 or r[4] == 0 for r in rows)
+    fitted_c2, ok = _fit(rows, 3, 4)
+    fitted_c3, _ = _fit(rows, 5, 6)
     return ProbeReport(
         name="weight_lipschitz_flips",
         measured={"fitted_c2": fitted_c2, "fitted_c3": fitted_c3,
@@ -484,9 +485,8 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     for i, (_, center_rows) in enumerate(centers):  # last row: unmasked g_1
         trial("targeted", flip_targeted_draw(ball, xs[i], center_rows[-1][1][0]), i)
 
-    ratios_f = [r[4] / r[5] for r in rows if r[5] > 0]
+    fit_f, _ = _fit(rows, 4, 5, empty=-np.inf)
     ratios_loss = [r[6] for r in rows if not math.isnan(r[6])]
-    fit_f = max(ratios_f, default=-np.inf)
     fit_loss = max(ratios_loss, default=-np.inf) if dataset is not None else float("nan")
 
     # coincident-pair control: residual must vanish identically
@@ -538,20 +538,16 @@ def probe_gradient_bounds(params: NetworkParams, dataset: MarginDataset,
     L = params.depth
     sqrt_m = math.sqrt(m)
     rows = []
-    up = -np.inf
-    low = np.inf
     for rec in records:
         es = rec.surrogate
         if es <= 0:
             continue  # saturated surrogate: ratios undefined
-        worst_up = 0.0
-        for l in range(1, L + 2):
-            ratio = rec.grad_frob[l - 1] / (params.layer_scale(l) * sqrt_m * es)
-            worst_up = max(worst_up, ratio)
+        worst_up = max(rec.grad_frob[l - 1] / (params.layer_scale(l) * sqrt_m * es)
+                       for l in range(1, L + 2))
         ratio_low = rec.grad_frob[L] ** 2 / (params.m_last * gamma ** 4 * es ** 2)
-        up = max(up, worst_up)
-        low = min(low, ratio_low)
         rows.append([rec.step, es, worst_up, ratio_low])
+    up = max((r[2] for r in rows), default=-np.inf)
+    low = min((r[3] for r in rows), default=np.inf)
     return ProbeReport(
         name="gradient_bounds",
         measured={"fitted_upper": up, "fitted_lower": low},
@@ -690,29 +686,26 @@ def probe_threshold_indices(params: NetworkParams, inputs,
     bt = forward_batch(params, xs)
     L = params.depth
     rows = []
-    fitted = 0.0
     mean_counts = []
     for beta in beta_grid:
         counts_here = []
         for l in range(1, L + 2):
             pre = np.abs(bt.activations[l - 1] @ params.weights[l - 1])
             counts = np.count_nonzero(pre <= beta, axis=1)
-            m_l = params.widths[l - 1]
-            basis = m_l ** 1.5 * beta
-            cmax = int(np.max(counts))
-            fitted = max(fitted, cmax / basis) if basis > 0 else fitted
             counts_here.extend(counts.tolist())
-            rows.append([beta, l, cmax, float(np.mean(counts)), basis])
+            rows.append([beta, l, int(np.max(counts)), float(np.mean(counts)),
+                         params.widths[l - 1] ** 1.5 * beta])
         mean_counts.append(float(np.mean(counts_here)))
 
     slope = _loglog_slope(beta_grid, mean_counts)
+    fitted, ok = _fit(rows, 2, 4)
     return ProbeReport(
         name="threshold_indices",
         measured={"fitted_cprime": fitted, "beta_slope": slope},
         bound_expr=fitted,
         constant_fit=fitted,
         trials=len(beta_grid) * xs.shape[0],
-        verdict=_verdict(all(r[2] <= fitted * r[4] + 1e-9 for r in rows)),
+        verdict=_verdict(ok),
         config={"beta_grid": list(beta_grid), "m": params.m, "L": L},
         detail_columns=["beta", "layer", "count_max", "count_mean", "basis"],
         details=rows,
@@ -746,7 +739,6 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
     ball = PerturbationBall(params, tau, rng.substream("ball"))
     basis = tau * math.sqrt(m) + math.sqrt(sparsity * math.log(m))
     rows = []
-    fitted = 0.0
     for t in range(trials):
         x = rng.standard_normal(params.d)
         x /= np.linalg.norm(x)
@@ -755,16 +747,16 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
         a = _sparse_unit(rng, params.widths[0], sparsity)
         worst = max(abs(float(g[0] @ a))
                     for l, g, _ in lossgrad._backward_rows(wt, trace) if l <= L)
-        fitted = max(fitted, worst / basis)
         rows.append([t, worst, basis])
         del wt, trace  # the next draw is made with this one gone
+    fitted, ok = _fit(rows, 1, 2)
     return ProbeReport(
         name="sparse_output",
         measured={"fitted_c1": fitted, "basis": basis},
         bound_expr=fitted * basis,
         constant_fit=fitted,
         trials=trials,
-        verdict=_verdict(all(r[1] <= fitted * basis + 1e-9 for r in rows)),
+        verdict=_verdict(ok),
         config={"tau": tau, "sparsity": sparsity, "m": m, "L": L},
         detail_columns=["trial", "max_output", "basis"],
         details=rows,
@@ -877,22 +869,16 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     m = params.m
     step_size = tau / 10.0
     bt0 = forward_batch(params, xs)
-    values = []
     rows = []
-    gap_max = 0.0
-    dropped = 0
     for t in range(xi_draws):
         xi = rng.substream(f"xi/{t}").signs(n)
         ascent = _ascend(params, tau, xs, bt0, xi, step_size, ascent_steps)
-        if ascent is None:
-            dropped += 1
-            continue
-        best, gap = ascent
-        gap_max = max(gap_max, gap)
-        values.append(best)
-        rows.append([t, best, gap])
+        if ascent is not None:  # a diverged draw is dropped
+            rows.append([t, *ascent])
 
-    estimate = numkit.pairwise_sum(values) / len(values) if values else 0.0
+    dropped = xi_draws - len(rows)
+    gap_max = max((r[2] for r in rows), default=0.0)
+    estimate = numkit.pairwise_sum([r[1] for r in rows]) / len(rows) if rows else 0.0
     basis = tau ** (4.0 / 3.0) * math.sqrt(m * math.log(m)) + tau * math.sqrt(m / n)
     fitted = estimate / basis if basis > 0 else 0.0
     return ProbeReport(

@@ -55,7 +55,12 @@ def golden_runs():
 
 @pytest.fixture(scope="module")
 def m_sweep():
-    """Criterion-5/6 sweep: stop at surrogate 0.25 with eta = 2/m."""
+    """Criterion-5/6 sweep: stop at surrogate 0.25 with eta = 2/m.
+
+    It reads only the last record and the stop, which do not depend on the
+    record cadence (``test_record_cadence_changes_no_value``), so it
+    records step 0 and the last step only.
+    """
     stats = {}
     for m in (64, 256, 1024):
         dists, flips = [], []
@@ -64,7 +69,7 @@ def m_sweep():
             params = init_gaussian(root.substream("init"), GOLDEN["d"], GOLDEN["L"],
                                    m, m, GOLDEN["theta"])
             res = trainer.train(params, ds, trainer.TrainConfig(
-                eta=2.0 / m, steps=2000, stop_surrogate=0.25))
+                eta=2.0 / m, steps=2000, stop_surrogate=0.25, record_every=2000))
             last = res.records[-1]
             assert res.stopped_early
             dists.append(max(last.dist_init))

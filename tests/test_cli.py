@@ -236,6 +236,16 @@ class TestProbe:
                      "--out", str(tmp_path / "o"),
                      "--probes", "not_a_probe"]) == 4
 
+    @pytest.mark.parametrize("names", ["", ",", " , "])
+    def test_empty_probe_list_exits_4(self, tmp_path, capsys, cfg_file, names):
+        # it would write an index.json that holds no report
+        capsys.readouterr()
+        assert main(["probe", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                     "--probes", names]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_checkpoint_exits_3(self, tmp_path, cfg_file):
         out = str(tmp_path / "run")
         main(["gen-data", "--config", cfg_file, "--out", out])

@@ -5,7 +5,7 @@ import pytest
 
 from reslab import lossgrad, model, numkit
 from reslab.lossgrad import (batch_output_grad, finite_diff_oracle, loss_grad_from_trace,
-                             output_gradient, xent, xent_deriv)
+                             xent, xent_deriv)
 from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
 
@@ -17,6 +17,12 @@ def unit(v):
 def forward(p, x):
     """One-row trace of a single input."""
     return forward_batch(p, x[None, :])
+
+
+def output_gradients(p, t):
+    """Each layer's output gradient at a one-row trace, indexed by layer,
+    from the gradient stream GD takes, at weight 1."""
+    return dict(lossgrad._layer_gradients(p, t, np.ones(1)))
 
 
 def loss_grad(p, xs, ys):
@@ -63,9 +69,29 @@ class TestOutputGradient:
         assert checked >= 300 and checked + skipped == 20 * 7 * 4
 
     def test_gradient_check_fails_on_a_wrong_layer(self, monkeypatch):
-        right = lossgrad.output_gradient
-        monkeypatch.setattr(lossgrad, "output_gradient",
-                            lambda p, t, l: right(p, t, l) * (1.0 + 1e-4 * (l == 3)))
+        right = lossgrad._layer_gradients
+
+        def wrong(p, t, w):
+            for l, g in right(p, t, w):
+                yield l, g * (1.0 + 1e-4 * (l == 3))
+
+        monkeypatch.setattr(lossgrad, "_layer_gradients", wrong)
+        checked, _, worst, passed = lossgrad.gradient_check(RngState(17))
+        assert checked >= 300 and worst > 1e-5 and not passed
+
+    @pytest.mark.parametrize("off", ["plain", "m_last"])
+    def test_gradient_check_covers_plain_nets_and_other_output_widths(self, monkeypatch,
+                                                                       off):
+        # a stream wrong only on plain nets, or only where m_last != m,
+        # fails the gate
+        right = lossgrad._layer_gradients
+
+        def wrong(p, t, w):
+            bad = p.arch == "plain" if off == "plain" else p.m_last != p.m
+            for l, g in right(p, t, w):
+                yield l, g * (1.0 + 1e-4 * bad)
+
+        monkeypatch.setattr(lossgrad, "_layer_gradients", wrong)
         checked, _, worst, passed = lossgrad.gradient_check(RngState(17))
         assert checked >= 300 and worst > 1e-5 and not passed
 
@@ -75,8 +101,7 @@ class TestOutputGradient:
         # differences are exact up to roundoff at any step size
         p = net(1)
         x = unit(RngState(7).standard_normal(4))
-        t = forward(p, x)
-        g = output_gradient(p, t, 2)
+        g = output_gradients(p, forward(p, x))[2]
         checked = 0
         for i in range(0, 16, 5):
             for j in range(0, 16, 5):
@@ -96,8 +121,8 @@ class TestOutputGradient:
         x = unit(RngState(7).standard_normal(4))
         direction = [RngState(70 + k).standard_normal(w.shape)
                      for k, w in enumerate(p.weights)]
-        t = forward(p, x)
-        grad_dot_d = sum(float(np.sum(output_gradient(p, t, l) * direction[l - 1]))
+        grads = output_gradients(p, forward(p, x))
+        grad_dot_d = sum(float(np.sum(grads[l] * direction[l - 1]))
                          for l in range(1, p.depth + 2))
 
         def f_along(tval):
@@ -120,13 +145,12 @@ class TestOutputGradient:
     def test_zero_pattern_gives_zero_gradient(self):
         p = net(2)
         x = unit(RngState(8).standard_normal(4))
-        t = forward(p, x)
         dead = [w.copy() for w in p.weights]
         dead[2] = -np.abs(dead[2])  # all layer-3 preactivations nonpositive
         p2 = p.with_weights(dead)
         t2 = forward(p2, x)
         assert not np.any(t2.pattern(3))
-        assert np.all(output_gradient(p2, t2, 3) == 0.0)
+        assert np.all(output_gradients(p2, t2)[3] == 0.0)
 
     def test_theta_linearity_with_frozen_trace(self):
         # with activations and patterns frozen, doubling theta exactly
@@ -153,22 +177,14 @@ class TestOutputGradient:
         p = net(4)
         x = unit(RngState(10).standard_normal(4))
         t = forward(p, x)
-        bt = forward_batch(p, x[None, :])
-        masked = {l: rows for l, _, rows in lossgrad._backward_rows(p, bt)}
+        masked = {l: rows for l, _, rows in lossgrad._backward_rows(p, t)}
+        grads = output_gradients(p, t)
         for l in range(1, p.depth + 2):
-            g = output_gradient(p, t, l)
+            g = grads[l]
             a = t.activations[l - 1][0]
             b = masked[l][0] * p.layer_scale(l)
             assert np.linalg.norm(g) == pytest.approx(
                 np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
-
-    def test_layer_index_validated(self):
-        p = net(5)
-        t = forward(p, unit(np.ones(4)))
-        with pytest.raises(IndexError):
-            output_gradient(p, t, 0)
-        with pytest.raises(IndexError):
-            output_gradient(p, t, p.depth + 2)
 
 
 class TestBatchLossGrad:
@@ -184,9 +200,9 @@ class TestBatchLossGrad:
         loss, surr, grads = loss_grad(p, xs, ys)
         t = forward(p, xs[0])
         c = xent_deriv(ys[0] * t.outputs[0]) * ys[0]
+        one = output_gradients(p, t)
         for l in range(1, p.depth + 2):
-            np.testing.assert_allclose(grads.layers[l - 1],
-                                       c * output_gradient(p, t, l), rtol=1e-12)
+            np.testing.assert_allclose(grads.layers[l - 1], c * one[l], rtol=1e-12)
 
     def test_batch_is_mean_of_per_sample(self):
         p = net(7)
@@ -196,8 +212,8 @@ class TestBatchLossGrad:
         for i in range(8):
             t = forward(p, xs[i])
             c = xent_deriv(ys[i] * t.outputs[0]) * ys[i] / 8
-            for l in range(1, p.depth + 2):
-                manual[l - 1] += c * output_gradient(p, t, l)
+            for l, g in output_gradients(p, t).items():
+                manual[l - 1] += c * g
         for a, b in zip(manual, grads.layers):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
@@ -327,7 +343,7 @@ class TestBatchLossGrad:
 
         monkeypatch.setattr(lossgrad, "forward_batch", counted)
         fd = finite_diff_oracle(p, x, 2, 0, 0, 1e-4)
-        assert fd == pytest.approx(output_gradient(p, forward(p, x), 2)[0, 0], abs=1e-9)
+        assert fd == pytest.approx(output_gradients(p, forward(p, x))[2][0, 0], abs=1e-9)
         assert len(passes) <= 3
         assert finite_diff_oracle(p, x, 1, int(np.argmax(np.abs(x))), 0, 10.0) is None
 

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reslab import lossgrad, model, numkit, probes, trainer
+from reslab import cli, lossgrad, model, numkit, probes, trainer
 from reslab.data import Teacher, make_teacher, sample_dataset
 from reslab.model import NetworkParams, forward_batch, init_gaussian, output_vector
 from reslab.numkit import RngState
@@ -88,20 +89,194 @@ class TestPerturbationBall:
             ball.shifted([np.full(w1.shape, 1.5e-16)] + [None] * params.depth)
 
 
+def _cell(text):
+    """A details cell as the probe wrote it: an int, a float or a string."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _fit(rows, value, basis, empty=0.0):
+    # the fit rule restated, so that the reports are checked against it
+    c = max((r[value] / r[basis] for r in rows if r[basis] > 0), default=empty)
+    return c, all(r[value] <= c * r[basis] + probes.FIT_SLACK or r[basis] == 0
+                  for r in rows)
+
+
+def _slope(xs, ys):
+    keep = [(x, y) for x, y in zip(xs, ys) if y > 0]
+    if len(keep) < 2:
+        return math.nan
+    return float(np.polyfit(np.log([x for x, _ in keep]), np.log([y for _, y in keep]),
+                            1)[0])
+
+
+def _activation_norms(rows, cfg, run, measured):
+    xn = [r for r in rows if r["kind"] == "xnorm"]
+    hn = [r["value_max"] for r in rows if r["kind"] == "hnorm"]
+    mid = [r["value_max"] for r in rows
+           if r["kind"] == "hnorm" and 2 <= r["l"] and r["lp"] <= cfg["L"]]
+    limit = math.exp(3.0 * cfg["theta"] * cfg["L"]) if cfg["arch"] == "residual" else math.inf
+    got = {"xnorm_min": min(r["value_min"] for r in xn),
+           "xnorm_max": max(r["value_max"] for r in xn),
+           "h_mid_max": max(mid, default=0.0), "h_all_max": max(hn, default=0.0)}
+    ok = (cfg["norm_low"] <= got["xnorm_min"] and got["xnorm_max"] <= cfg["norm_high"]
+          and all(h <= limit for h in mid))
+    return got, limit, got["h_all_max"], ok
+
+
+def _input_lipschitz(rows, cfg, run, measured):
+    c = max((r["ratio_max"] for r in rows), default=0.0)
+    return {"fitted_constant": c}, c, c, True
+
+
+def _weight_lipschitz_flips(rows, cfg, run, measured):
+    c2, ok = _fit(rows, "activation_dist", "weight_basis")
+    c3, _ = _fit(rows, "flips", "flip_basis")
+    means = [float(np.mean([r["flips"] for r in rows if r["tau"] == tau]))
+             for tau in cfg["tau_grid"]]
+    return ({"fitted_c2": c2, "fitted_c3": c3, "flip_slope": _slope(cfg["tau_grid"], means),
+             "mean_flips_per_tau": {repr(t): f for t, f in zip(cfg["tau_grid"], means)}},
+            c3, c2, ok)
+
+
+def _semismoothness(rows, cfg, run, measured):
+    c, _ = _fit(rows, "residual", "basis_f", empty=-math.inf)
+    loss = max((r["loss_ratio"] for r in rows if not math.isnan(r["loss_ratio"])),
+               default=-math.inf) if cfg["with_loss"] else math.nan
+    return ({"fitted_cbar_f": c, "fitted_cbar_loss": loss}, max(c, 0.0), c,
+            measured["control_residual"] <= 1e-12)
+
+
+def _gradient_bounds(rows, cfg, run, measured):
+    up = max((r["ratio_up_max"] for r in rows), default=-math.inf)
+    low = min((r["ratio_low"] for r in rows), default=math.inf)
+    return {"fitted_upper": up, "fitted_lower": low}, up, up, low > 0 and math.isfinite(up)
+
+
+def _separability(rows, cfg, run, measured):
+    margins = [r["margin"] for r in rows]
+    control = rows[-1]["control_margin"]
+    floor = cfg["gamma"] / 4.0
+    return ({"margin_layer1": margins[0], "margin_layerL": margins[-1],
+             "margin_min": min(margins), "control_margin_layerL": control},
+            floor, margins[-1] / cfg["gamma"], margins[-1] >= floor and control < floor)
+
+
+def _threshold_indices(rows, cfg, run, measured):
+    c, ok = _fit(rows, "count_max", "basis")
+    n = run["probe_inputs"]
+    # each layer's count_mean is its integer count total over n inputs
+    means = []
+    for beta in cfg["beta_grid"]:
+        layers = [r for r in rows if r["beta"] == beta]
+        means.append(sum(round(r["count_mean"] * n) for r in layers) / (n * len(layers)))
+    return {"fitted_cprime": c, "beta_slope": _slope(cfg["beta_grid"], means)}, c, c, ok
+
+
+def _sparse_output(rows, cfg, run, measured):
+    basis = (cfg["tau"] * math.sqrt(cfg["m"])
+             + math.sqrt(cfg["sparsity"] * math.log(cfg["m"])))
+    c, ok = _fit(rows, "max_output", "basis")
+    return {"fitted_c1": c, "basis": basis}, c * basis, c, ok
+
+
+def _loss_at_init(rows, cfg, run, measured):
+    got = {r["quantity"]: r["value"] for r in rows}
+    basis = math.sqrt(math.log(max(cfg["n"], 2)))
+    c = max(got["loss"], got["max_abs_output"]) / basis
+    return got, c * basis, c, got["loss"] <= c * basis + 1e-9
+
+
+def _rademacher(rows, cfg, run, measured):
+    values = [r["ascent_value"] for r in rows]
+    estimate = numkit.pairwise_sum(values) / len(values) if values else 0.0
+    tau, m, n = cfg["tau"], cfg["m"], cfg["n"]
+    basis = tau ** (4.0 / 3.0) * math.sqrt(m * math.log(m)) + tau * math.sqrt(m / n)
+    c = estimate / basis if basis > 0 else 0.0
+    dropped = cfg["xi_draws"] - len(rows)
+    return ({"estimate": estimate, "dropped": dropped, "basis": basis,
+             "linearization_gap": max((r["linearization_gap"] for r in rows), default=0.0)},
+            basis * c if basis > 0 else 0.0, c, dropped == 0)
+
+
+def _surrogate_markov(rows, cfg, run, measured):
+    got = {r["quantity"]: r["value"] for r in rows}
+    err, surrogate = got.pop("test_error"), got.pop("test_surrogate")
+    bound = 2.0 * surrogate + cfg["band"]
+    return ({"test_error": err, "test_surrogate": surrogate}, bound,
+            err / surrogate if surrogate > 0 else 0.0, err <= bound)
+
+
+def _depth_sweep(rows, cfg, run, measured):
+    steps = {(r["arch"], r["L"]): r["steps_to_threshold"] for r in rows}
+    residual = [steps[("residual", L)] for L in cfg["L_grid"] if ("residual", L) in steps]
+    ratio, ok = math.nan, all(s >= 0 for s in residual)
+    if ok and residual:
+        lo, hi = min(residual), max(residual)
+        ratio = hi / lo if lo > 0 else (1.0 if hi == 0 else math.inf)
+        ok = ratio <= probes.SWEEP_RATIO_LIMIT
+    plain = math.nan
+    if "plain" in cfg["arches"]:
+        p, r = (steps.get((arch, max(cfg["L_grid"])), -1) for arch in ("plain", "residual"))
+        if r > 0:
+            plain = p / r if p >= 0 else math.inf
+    return ({"residual_step_ratio": ratio, "plain_over_residual_at_max_depth": plain},
+            probes.SWEEP_RATIO_LIMIT, ratio, ok)
+
+
+# Each probe's report from its details rows, its own config and the run's
+# config: (measured, bound_expr, constant_fit, verdict holds).
+RECOMPUTE = {
+    "activation_norms": _activation_norms, "input_lipschitz": _input_lipschitz,
+    "weight_lipschitz_flips": _weight_lipschitz_flips,
+    "semismoothness": _semismoothness, "gradient_bounds": _gradient_bounds,
+    "separability": _separability, "threshold_indices": _threshold_indices,
+    "sparse_output": _sparse_output, "loss_at_init": _loss_at_init,
+    "rademacher": _rademacher, "surrogate_markov": _surrogate_markov,
+    "depth_sweep": _depth_sweep,
+}
+# The measured values that only a report carries, which its rows cannot give.
+REPORT_ONLY = {"semismoothness": {"control_residual"},
+               "gradient_bounds": {"column_sets"},
+               "input_lipschitz": {"pairs_used"}}
+TOY_RUN = {"d": 4, "L": 3, "m": 16, "n": 40, "M": 16, "gamma": 0.05, "K": 200,
+           "heldout_n": 100, "probe_inputs": 6, "probe_draws": 2, "trials": 4,
+           "xi_draws": 2, "ascent_steps": 3, "sparsity": 4, "sweep_L": [2, 3],
+           "sweep_m": 16, "steps_budget": 100}
+
+
 class TestReportPlumbing:
-    def test_write_and_reload(self, toy, tmp_path):
-        rng, _, _, params = toy
-        xs = sphere(rng.substream("x"), 10, params.d)
-        rep = probes.probe_activation_norms(params, xs, h_inputs=1)
-        paths = rep.write(tmp_path)
-        payload = json.loads(open(paths["report"]).read())
-        assert payload["name"] == "activation_norms"
-        assert payload["verdict"] in ("hold", "violated")
-        lines = open(paths["details"]).read().splitlines()
-        assert len(lines) == 1 + len(rep.details)
-        # verdict is recomputable from the stored details
-        header = lines[0].split(",")
-        assert header == rep.detail_columns
+    def test_every_report_recomputes_from_its_files(self, tmp_path):
+        # the twelve reports of one run, read back from their two files:
+        # each constant_fit, bound_expr, verdict and measured value follows
+        # from the details rows and the configs, bit for bit
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(TOY_RUN))
+        out = tmp_path / "out"
+        assert cli.main(["probe", "--config", str(cfg_path), "--out", str(out),
+                         "--probes", "all"]) == 0
+        assert sorted(RECOMPUTE) == sorted(cli.PROBE_NAMES)
+        verdicts = set()
+        for name in cli.PROBE_NAMES:
+            rep = json.loads((out / f"{name}.report.json").read_text())
+            with open(out / rep["details_file"], newline="", encoding="utf-8") as fh:
+                rows = [{k: _cell(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+            measured, bound, fit, ok = RECOMPUTE[name](rows, rep["config"], TOY_RUN,
+                                                       rep["measured"])
+            only = REPORT_ONLY.get(name, set())
+            assert only <= rep["measured"].keys()
+            want = {"measured": measured, "bound_expr": bound, "constant_fit": fit,
+                    "verdict": "hold" if ok else "violated"}
+            got = {"measured": {k: v for k, v in rep["measured"].items() if k not in only},
+                   **{k: rep[k] for k in ("bound_expr", "constant_fit", "verdict")}}
+            # as JSON text, so a float matches only bit for bit, NaN included
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), name
+            verdicts.add(rep["verdict"])
+        assert verdicts == {"hold", "violated"}
 
 
 class TestActivationNormProbe:
