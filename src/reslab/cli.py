@@ -266,13 +266,19 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
 
 
 def cmd_probe(cfg) -> int:
-    names = PROBE_NAMES if cfg["probes"] == "all" else [
-        s.strip() for s in str(cfg["probes"]).split(",") if s.strip()]
+    names = [s.strip() for s in str(cfg["probes"]).split(",") if s.strip()]
     if not names:
         raise UsageError(f"no probe named; valid: all, {', '.join(PROBE_NAMES)}")
+    if "all" in names:
+        if len(names) > 1:
+            raise UsageError(f"'all' names every probe and stands alone, got {names}")
+        names = PROBE_NAMES
     unknown = [nm for nm in names if nm not in PROBE_NAMES]
     if unknown:
         raise UsageError(f"unknown probes {unknown}; valid: {', '.join(PROBE_NAMES)}")
+    repeated = sorted({nm for nm in names if names.count(nm) > 1})
+    if repeated:
+        raise UsageError(f"probes named more than once: {repeated}")
     path = _dataset_path(cfg)
     root = RngState(cfg["seed"])
     if os.path.exists(path):

@@ -685,17 +685,16 @@ def probe_threshold_indices(params: NetworkParams, inputs,
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     bt = forward_batch(params, xs)
     L = params.depth
-    rows = []
-    mean_counts = []
-    for beta in beta_grid:
-        counts_here = []
-        for l in range(1, L + 2):
-            pre = np.abs(bt.activations[l - 1] @ params.weights[l - 1])
-            counts = np.count_nonzero(pre <= beta, axis=1)
-            counts_here.extend(counts.tolist())
-            rows.append([beta, l, int(np.max(counts)), float(np.mean(counts)),
-                         params.widths[l - 1] ** 1.5 * beta])
-        mean_counts.append(float(np.mean(counts_here)))
+    counts = [[] for _ in beta_grid]  # counts[b][l - 1]: per input, at layer l
+    for l in range(1, L + 2):
+        pre = np.abs(bt.activations[l - 1] @ params.weights[l - 1])
+        for per_layer, beta in zip(counts, beta_grid):
+            per_layer.append(np.count_nonzero(pre <= beta, axis=1))
+    rows = [[beta, l, int(np.max(c)), float(np.mean(c)),
+             params.widths[l - 1] ** 1.5 * beta]
+            for beta, per_layer in zip(beta_grid, counts)
+            for l, c in enumerate(per_layer, 1)]
+    mean_counts = [float(np.mean(np.concatenate(per_layer))) for per_layer in counts]
 
     slope = _loglog_slope(beta_grid, mean_counts)
     fitted, ok = _fit(rows, 2, 4)

@@ -246,6 +246,26 @@ class TestProbe:
         assert len(err) == 1 and err[0].startswith("usage error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("names, problem", [
+        ("loss_at_init,loss_at_init", "more than once: ['loss_at_init']"),
+        ("threshold_indices, loss_at_init,threshold_indices",
+         "more than once: ['threshold_indices']"),
+        ("all,loss_at_init", "'all' names every probe and stands alone"),
+        ("loss_at_init,all", "'all' names every probe and stands alone"),
+        ("all,all", "'all' names every probe and stands alone"),
+    ])
+    def test_repeated_probe_or_all_in_a_list_exits_4(self, tmp_path, capsys, cfg_file,
+                                                     names, problem):
+        # a repeated name wrote its files twice and listed its report twice
+        # in index.json; "all" in a list was reported as an unknown probe
+        capsys.readouterr()
+        assert main(["probe", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                     "--probes", names]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert problem in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_checkpoint_exits_3(self, tmp_path, cfg_file):
         out = str(tmp_path / "run")
         main(["gen-data", "--config", cfg_file, "--out", out])

@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reslab import numkit
+from reslab import numkit, trainer
+from reslab.data import make_dataset
+from reslab.lossgrad import loss_grad_from_trace
+from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
+from reslab.probes import PerturbationBall
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS")
@@ -282,6 +286,61 @@ class TestSpectralNorm:
             warnings.simplefilter("error")
             assert numkit.spectral_norm(g) == pytest.approx(3.0, rel=1e-14)
         assert numkit.spectral_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-15)
+
+    def ritz_count(self, monkeypatch, a, **schedule):
+        """spectral_norm(a) and the Ritz values it took, counted as the
+        np.linalg.svd calls numkit makes, with the schedule's constants
+        set from ``schedule``.  With _RITZ_DENSE huge it takes one at
+        every step, so the count is its number of steps."""
+        calls = [0]
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(numkit.np.linalg, "svd", counted)
+            for name, value in schedule.items():
+                mp.setattr(numkit, name, value)
+            value = numkit.spectral_norm(a)
+        return value, calls[0]
+
+    def test_ritz_values_at_chosen_steps_on_a_ball_difference(self, monkeypatch):
+        # a 256x256 difference of two points of a Frobenius ball takes about
+        # 35 steps; past _RITZ_DENSE the Ritz value is taken in pairs of
+        # steps, and the stop falls on the same step as with one every step.
+        # Jumping the whole predicted distance lands pairs past the stop,
+        # and the walk back over the skipped steps still finds it
+        params = init_gaussian(RngState(30), 10, 16, 256, 256, 0.1 / 16)
+        drawn = PerturbationBall(params, 0.1, RngState(31)).draw()
+        for w, w0 in list(zip(drawn.weights, params.weights))[1:5]:
+            d = w - w0
+            every, steps = self.ritz_count(monkeypatch, d, _RITZ_DENSE=10 ** 9)
+            value, taken = self.ritz_count(monkeypatch, d)
+            assert value == every
+            assert steps >= 20 and taken <= 0.65 * steps, (steps, taken)
+            far, _ = self.ritz_count(monkeypatch, d, _RITZ_SHARE=1.0, _RITZ_CAP=1)
+            assert far == every
+
+    def test_every_ritz_value_of_a_golden_gradient(self, monkeypatch):
+        # layer gradients at the golden shape stop in 5-6 steps at the
+        # initialization and in 7-9 after 20 GD steps: the Ritz value is
+        # taken at every one, past _RITZ_DENSE too, as for h_k
+        root = RngState(0)
+        ds = make_dataset(root, 10, 64, 0.1, 200)
+        params = init_gaussian(root.substream("init"), 10, 16, 256, 256, 0.1 / 16)
+        trained = trainer.train(params, ds, trainer.TrainConfig(
+            eta=10.0 / 256, steps=20, record_every=20)).params
+        lengths = set()
+        for p in (params, trained):
+            _, _, grads = loss_grad_from_trace(p, forward_batch(p, ds.xs), ds.ys)
+            for g in grads.layers:
+                every, steps = self.ritz_count(monkeypatch, g, _RITZ_DENSE=10 ** 9)
+                value, taken = self.ritz_count(monkeypatch, g)
+                assert value == every and taken == steps
+                lengths.add(steps)
+        assert max(lengths) > numkit._RITZ_DENSE, lengths
 
     def test_spectral_at_most_frobenius(self):
         rng = RngState(4)
