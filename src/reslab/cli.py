@@ -9,10 +9,10 @@ produced with.  The flags are --config, --seed, --out, --arch, --probes,
 skip weight is theta_per_L / L and the step size eta_scale / m, with m the
 width of the network being trained.
 
-Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O or shape
-error, 4 usage error: an unknown flag or config key, or a config value of
-the wrong type, a non-finite number, or one the lab rejects
-(``model.ConfigError``).
+Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O error,
+malformed or invalid file, or shape mismatch, 4 usage error: an unknown flag
+or config key, or a config value of the wrong type, a non-finite number, or
+one the lab rejects (``model.ConfigError``).
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ PROBE_NAMES = [
 
 class UsageError(ValueError):
     pass
+
+
+class ReportFormatError(ValueError):
+    """Malformed probe report file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,8 +341,16 @@ def cmd_report(cfg) -> int:
     lines = ["# Probe summary", "", "| probe | verdict | fitted constant | measured |",
              "|---|---|---|---|"]
     for fn in names:
-        with open(os.path.join(out, fn), "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
+        path = os.path.join(out, fn)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rep = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ReportFormatError(f"{path}: not JSON: {exc}") from exc
+        if not (isinstance(rep, dict) and isinstance(rep.get("measured"), dict)
+                and {"name", "verdict", "constant_fit"} <= rep.keys()):
+            raise ReportFormatError(f"{path}: not a probe report: an object with "
+                                    f"name, verdict, constant_fit and measured, an object")
         measured = "; ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
                              for k, v in sorted(rep["measured"].items())
                              if not isinstance(v, dict))
@@ -393,7 +405,7 @@ def main(argv=None) -> int:
         print(f"data generation infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, data.DataFormatError, data.DataInvariantError,
-            model.CheckpointFormatError, model.ShapeError) as exc:
+            model.CheckpointFormatError, model.ShapeError, ReportFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except trainer.DivergenceError as exc:

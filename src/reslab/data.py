@@ -4,14 +4,15 @@ The teacher is a finite random-features sum f(x) = (1/M) sum_j c_j relu(u_jᵀx)
 with u_j standard Gaussian directions and c_j in {±1}.  Inputs are drawn
 uniformly on the unit sphere, labeled y = sign(f(x)), and rejection-sampled
 to |f(x)| >= gamma, so every kept sample carries a hard margin certificate
-y·f(x) >= gamma.  Datasets round-trip bit-exactly through a one-line JSON
-header plus a little-endian float64 payload.
+y·f(x) >= gamma.  Here too are the lab's one JSON and one CSV writer and
+both binary files' framing, whose reader checks every header value it reads.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +181,71 @@ def make_dataset(rng: RngState, d: int, M: int, gamma: float, n: int) -> MarginD
     return sample_dataset(teacher, rng.substream("data"), n)
 
 
-# --- dataset file format -----------------------------------------------------
+# --- binary file framing -----------------------------------------------------
 #
-# One JSON header line then a little-endian float64 payload:
-#   teacher directions (M*d values, row-major), teacher coefficients (M),
-#   then per sample: x_i (d values) followed by one signed label byte (±1).
+# Datasets and checkpoints are one JSON header line (UTF-8, sorted keys) with
+# the file's ``kind`` and ``version`` 1, then the payload arrays' raw bytes in
+# the order the kind fixes, with nothing after the last.
+
+FRAME_VERSION = 1
+
+# Header value checks: (what the value must be, its test).  Sizes stay below
+# 2**28, as numpy refuses a record of that many float64 (2 GiB).
+SIZE = ("a positive integer below 2**28", lambda v: type(v) is int and 0 < v < 2**28)
+AMOUNT = ("a finite number >= 0",
+          lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max)
+TEXT = ("a string", lambda v: type(v) is str)
+SIZES = ("a nonempty list of positive integers below 2**28",
+         lambda v: type(v) is list and v != [] and all(map(SIZE[1], v)))
+SEED = ("null or two integers >= 0", lambda v: v is None or (
+    type(v) is list and len(v) == 2 and all(type(s) is int and s >= 0 for s in v)))
+
+
+def write_framed(path, kind: str, header: dict, arrays) -> None:
+    """``header``, ``kind`` and the version as one sorted JSON line, then the
+    bytes of each of ``arrays``, every one already in its file dtype."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({**header, "kind": kind, "version": FRAME_VERSION},
+                            sort_keys=True).encode("utf-8") + b"\n")
+        for a in arrays:
+            fh.write(a.tobytes())
+
+
+def read_framed(path, kind: str, fields: dict, layout, error):
+    """The header and payload arrays of the framed file at ``path``, or
+    ``error`` (the caller's format error) unless the header is a JSON object
+    of ``kind`` and the version whose ``fields`` pass their checks, and the
+    payload is exactly the (name, record dtype, count) blocks of
+    ``layout(header)``; a short block names its first incomplete record."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # or an empty file
+            raise error(f"{path}: bad header line: {exc}") from exc
+        if not isinstance(header, dict) or header.get("kind") != kind:
+            raise error(f"{path}: header is not a JSON object of kind {kind!r}")
+        version = ("1", lambda v: type(v) is int and v == FRAME_VERSION)
+        for key, (what, ok) in {"version": version, **fields}.items():
+            if key not in header or not ok(header[key]):
+                got = repr(header[key]) if key in header else "nothing"
+                raise error(f"{path}: header {key} must be {what}, got {got}")
+        payload = fh.read()
+    arrays, at = [], 0
+    for name, record, count in layout(header):
+        size = record.itemsize
+        i, got = divmod(len(payload) - at, size)
+        if i < count:
+            raise error(f"{path}: truncated {name} {i} at byte "
+                        f"{len(line) + at + i * size}: wanted {size} bytes, got {got}")
+        arrays.append(np.frombuffer(payload, record, count, at).copy())
+        at += count * size
+    if at < len(payload):
+        raise error(f"{path}: trailing bytes after byte {len(line) + at}")
+    return header, arrays
+
+
+# --- dataset file ------------------------------------------------------------
 
 DATASET_KIND = "reslab-margin-dataset"
 
@@ -195,82 +256,37 @@ def _sample_dtype(d: int) -> np.dtype:
 
 
 def save_dataset(ds: MarginDataset, path) -> None:
-    header = {
-        "kind": DATASET_KIND,
-        "version": 1,
-        "d": ds.d,
-        "n": ds.n,
-        "M": ds.teacher.n_features,
-        "gamma": ds.teacher.gamma,
-        "realized_margin": ds.realized_margin,
+    samples = np.empty(ds.n, dtype=_sample_dtype(ds.d))
+    samples["x"] = ds.xs
+    samples["y"] = ds.ys
+    write_framed(path, DATASET_KIND, {
+        "d": ds.d, "n": ds.n, "M": ds.teacher.n_features, "gamma": ds.teacher.gamma,
+        "realized_margin": ds.realized_margin, "acceptance_rate": ds.acceptance_rate,
         "seed": list(ds.seed) if ds.seed is not None else None,
-        "acceptance_rate": ds.acceptance_rate,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(ds.teacher.directions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.teacher.coeffs, dtype="<f8").tobytes())
-        samples = np.empty(ds.n, dtype=_sample_dtype(ds.d))
-        samples["x"] = ds.xs
-        samples["y"] = ds.ys
-        fh.write(samples.tobytes())
-
-
-def _read_exact(fh, count: int, what: str, offset: int):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise DataFormatError(f"truncated {what} at byte {offset}: "
-                              f"wanted {count} bytes, got {len(buf)}")
-    return buf
+    }, [np.asarray(ds.teacher.directions, dtype="<f8"),
+        np.asarray(ds.teacher.coeffs, dtype="<f8"), samples])
 
 
 def load_dataset(path) -> MarginDataset:
     """Load and re-validate a dataset file; contents are checked, not trusted."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line:
-            raise DataFormatError(f"{path}: empty file")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"{path}: bad header line: {exc}") from exc
-        if header.get("kind") != DATASET_KIND:
-            raise DataFormatError(f"{path}: not a dataset file")
-        d, n, M = (int(header[k]) for k in ("d", "n", "M"))
-        if n < 1 or d < 1 or M < 1:
-            raise DataFormatError(f"{path}: empty dataset (n={n}, d={d}, M={M})")
-        gamma = float(header["gamma"])
-        offset = len(line)
-        buf = _read_exact(fh, M * d * 8, "teacher directions", offset)
-        directions = np.frombuffer(buf, dtype="<f8").reshape(M, d).copy()
-        offset += len(buf)
-        buf = _read_exact(fh, M * 8, "teacher coefficients", offset)
-        coeffs = np.frombuffer(buf, dtype="<f8").copy()
-        offset += len(buf)
-        record = _sample_dtype(d)
-        buf = fh.read(n * record.itemsize)
-        if len(buf) != n * record.itemsize:
-            i, got = divmod(len(buf), record.itemsize)
-            raise DataFormatError(f"truncated sample {i} at byte "
-                                  f"{offset + i * record.itemsize}: wanted "
-                                  f"{record.itemsize} bytes, got {got}")
-        samples = np.frombuffer(buf, dtype=record)
-        xs = np.ascontiguousarray(samples["x"], dtype=np.float64)
-        ys = samples["y"].astype(np.float64)
-        offset += len(buf)
-        if fh.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after byte {offset}")
-
-    teacher = Teacher(directions, coeffs, gamma)
+    header, (directions, coeffs, samples) = read_framed(
+        path, DATASET_KIND, {"d": SIZE, "n": SIZE, "M": SIZE, "gamma": AMOUNT,
+                             "acceptance_rate": AMOUNT, "seed": SEED},
+        lambda h: [("teacher direction", np.dtype(("<f8", (h["d"],))), h["M"]),
+                   ("teacher coefficient", np.dtype("<f8"), h["M"]),
+                   ("sample", _sample_dtype(h["d"]), h["n"])], DataFormatError)
+    xs = np.ascontiguousarray(samples["x"], dtype=np.float64)
+    ys = samples["y"].astype(np.float64)
+    gamma = float(header["gamma"])
+    try:
+        teacher = Teacher(directions, coeffs, gamma)
+    except ValueError as exc:  # a coefficient beyond ±1
+        raise DataInvariantError(f"{path}: {exc}") from exc
     if np.any(np.abs(ys) != 1.0):
         raise DataInvariantError(f"{path}: labels must be ±1")
-    finite = np.all(np.isfinite(xs), axis=1)
-    if not np.all(finite):
-        bad = int(np.argmin(finite))
-        raise DataInvariantError(f"{path}: sample {bad} has non-finite entries")
     norms = np.linalg.norm(xs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a non-finite sample fails too
+        bad = int(np.argmax(np.abs(norms - 1.0)))  # the first NaN, if any
         raise DataInvariantError(
             f"{path}: sample {bad} is off the unit sphere (norm {norms[bad]:.6f})")
     margins = ys * teacher_eval(teacher, xs)
@@ -279,7 +295,7 @@ def load_dataset(path) -> MarginDataset:
         raise DataInvariantError(
             f"{path}: sample {bad} violates the margin certificate "
             f"({margins[bad]:.6g} < {gamma})")
-    seed = tuple(header["seed"]) if header.get("seed") is not None else None
+    seed = tuple(header["seed"]) if header["seed"] is not None else None
     return MarginDataset(xs, ys, float(np.min(margins)), teacher, seed,
                          float(header["acceptance_rate"]))
 

@@ -66,8 +66,9 @@ class GradientSet:
         ``numkit.spectral_norm``: exact to rounding unless a layer's top
         singular values cluster.
 
-        The only place ``h_k``'s norms are taken, so that timing this
-        method accounts for all of their cost.
+        The only place ``h_k``'s norms are taken: ``bench/run.py`` wraps it
+        to take them out of ``depth-sweep``'s ``ms_per_iter``, which a direct
+        ``numkit.spectral_norm`` call would undo and deleting it would crash.
         """
         return tuple(numkit.spectral_norm(g) for g in self.layers)
 

@@ -17,18 +17,18 @@ every layer; a caller that reads only outputs, or one layer at a time,
 holds two.  ``interlayer_norms`` takes the spectral norms of the
 frozen-pattern interlayer operators H_l^{l'}, the linearization the
 patterns define from layer l to layer l'.  Their rows vᵀ H_l^{L+1} are
-``lossgrad``'s backward rows.
+``lossgrad``'s backward rows.  Checkpoint files keep their fields, layer
+order and content checks here, and their framing in ``data``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from . import numkit
+from . import data, numkit
 from .numkit import RngState, Vector
 
 ARCH_RESIDUAL = "residual"
@@ -85,7 +85,7 @@ class NetworkParams:
             raise ConfigError(f"output width must be even, got {widths[-1]}")
         if self.v.shape != (widths[-1],):
             raise ConfigError("output vector length does not match last width")
-        if self.theta < 0:
+        if not self.theta >= 0:  # a NaN theta fails too
             raise ConfigError(f"theta must be nonnegative, got {self.theta}")
         if self.arch == ARCH_RESIDUAL and self.theta * self.depth > 1.0 + 1e-12:
             raise ConfigError(
@@ -267,16 +267,7 @@ def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
     return norms
 
 
-# --- checkpoint file format -------------------------------------------------
-#
-# One JSON header line (UTF-8, ending in '\n') followed by the raw weight
-# payload: for each layer l = 1..L+1 in order, the entries of W_l as
-# little-endian float64 in row-major order.  The header carries everything
-# needed to reconstruct shapes and the fixed output vector:
-#
-#   {"kind": "reslab-checkpoint", "version": 1, "d": ..., "L": ...,
-#    "widths": [m_1, ..., m_{L+1}], "theta": ..., "arch": "residual",
-#    "seed": [seed, stream] or null}
+# --- checkpoint file: W_1 .. W_{L+1} in order, shaped by d and the widths -----
 
 CHECKPOINT_KIND = "reslab-checkpoint"
 
@@ -286,53 +277,29 @@ class CheckpointFormatError(ValueError):
 
 
 def save_checkpoint(params: NetworkParams, path, seed=None) -> None:
-    header = {
-        "kind": CHECKPOINT_KIND,
-        "version": 1,
-        "d": params.d,
-        "L": params.depth,
-        "widths": list(params.widths),
-        "theta": params.theta,
-        "arch": params.arch,
+    data.write_framed(path, CHECKPOINT_KIND, {
+        "d": params.d, "L": params.depth, "widths": list(params.widths),
+        "theta": params.theta, "arch": params.arch,
         "seed": list(seed) if seed is not None else None,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for w in params.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    }, [np.asarray(w, dtype="<f8") for w in params.weights])
 
 
 def load_checkpoint(path) -> NetworkParams:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line:
-            raise CheckpointFormatError(f"{path}: empty file")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
-        if header.get("kind") != CHECKPOINT_KIND:
-            raise CheckpointFormatError(f"{path}: not a checkpoint file")
-        d = int(header["d"])
-        widths = [int(m) for m in header["widths"]]
-        dims = [d] + widths
-        weights = []
-        offset = len(line)
-        for l in range(1, len(dims)):
-            count = dims[l - 1] * dims[l]
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointFormatError(
-                    f"{path}: truncated payload for layer {l} at byte {offset}")
-            offset += len(buf)
-            w = np.frombuffer(buf, dtype="<f8").reshape(dims[l - 1], dims[l]).copy()
-            if not np.all(np.isfinite(w)):
-                raise CheckpointFormatError(f"{path}: non-finite weight in layer {l}")
-            weights.append(w)
-        if fh.read(1):
-            raise CheckpointFormatError(f"{path}: trailing bytes after byte {offset}")
+    header, weights = data.read_framed(
+        path, CHECKPOINT_KIND, {"d": data.SIZE, "L": data.SIZE, "widths": data.SIZES,
+                                "theta": data.AMOUNT, "arch": data.TEXT},
+        lambda h: [(f"layer {l} row", np.dtype(("<f8", (m,))), rows) for l, (rows, m)
+                   in enumerate(zip([h["d"]] + h["widths"], h["widths"]), 1)],
+        CheckpointFormatError)
+    widths = header["widths"]
+    if header["L"] != len(widths) - 1:
+        raise CheckpointFormatError(f"{path}: header L={header['L']} but "
+                                    f"{len(widths)} widths")
+    for l, w in enumerate(weights, 1):
+        if not np.all(np.isfinite(w)):
+            raise CheckpointFormatError(f"{path}: non-finite weight in layer {l}")
     try:
         return NetworkParams(tuple(weights), float(header["theta"]),
-                             output_vector(widths[-1]), str(header["arch"]))
+                             output_vector(widths[-1]), header["arch"])
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc

@@ -180,7 +180,9 @@ def train(params: NetworkParams, dataset, cfg: TrainConfig) -> TrainResult:
                 finite = numkit.frobenius_finite(g)
             if not finite:
                 raise DivergenceError(k, "non-finite gradient")
-            if recording:  # one-layer sets: every h_k norm is taken there
+            # GradientSet, not numkit.spectral_norm: bench/run.py times its
+            # spectral_norms to take h_k out of depth-sweep's ms_per_iter
+            if recording:
                 h_norms[l - 1] = lossgrad.GradientSet((g,)).spectral_norms()[0]
             if stepping:
                 g *= cfg.eta

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reslab import cli
+from reslab import cli, data, model
 from reslab.cli import main
 
 
@@ -363,6 +363,10 @@ class TestSweep:
         assert rows != stale
 
 
+REPORT = {"name": "x", "verdict": "holds", "constant_fit": 1.5,
+          "measured": {"ratio": 0.5}}  # the keys `report` reads
+
+
 class TestMisc:
     def test_gradcheck_passes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -383,6 +387,116 @@ class TestMisc:
 
     def test_report_without_outputs_exits_3(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 3
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("{not json", id="not-json"),
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        *(pytest.param(json.dumps({k: v for k, v in REPORT.items() if k != key}),
+                       id=f"no-{key}") for key in REPORT),
+        pytest.param(json.dumps({**REPORT, "measured": [0.5]}), id="measured-a-list"),
+    ])
+    def test_bad_report_exits_3(self, tmp_path, capsys, body):
+        path = tmp_path / "x.report.json"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(path) in err[0]
+        assert not (tmp_path / "report.md").exists()
+
+    def test_report_reads_a_minimal_report(self, tmp_path):
+        (tmp_path / "x.report.json").write_text(json.dumps(REPORT))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert "| x | holds | 1.5 | ratio=0.5 |" in (tmp_path / "report.md").read_text()
+
+
+DROP = object()  # stands for a header key taken out
+
+
+def rewrite_header(src, dest, key, value):
+    """``src`` with its header's ``key`` set to ``value`` (taken out, for
+    DROP; the whole header replaced, for key None), written to ``dest``."""
+    line, payload = Path(src).read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    if key is None:
+        header = value
+    elif value is DROP:
+        del header[key]
+    else:
+        header[key] = value
+    dest.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    return str(dest)
+
+
+@pytest.fixture(scope="class")
+def trained(tmp_path_factory):
+    """A dataset and a checkpoint made by gen-data and train, and their config."""
+    out = tmp_path_factory.mktemp("trained")
+    cfg = write_config(out / "c.json", K=2)
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    return out, cfg
+
+
+class TestMalformedHeaders:
+    """A header fault in either binary file exits 3 with one error line."""
+
+    @staticmethod
+    def train_exits_3(capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("d", DROP, id="no-d"),
+        pytest.param("acceptance_rate", DROP, id="no-acceptance_rate"),
+        pytest.param("d", "x", id="d-a-string"),
+        pytest.param("gamma", "0.05", id="gamma-a-string"),
+        pytest.param("seed", 5, id="seed-an-int"),
+        pytest.param("seed", [True, 0], id="seed-true"),
+        pytest.param("acceptance_rate", float("nan"), id="acceptance_rate-nan"),
+        pytest.param("acceptance_rate", float("inf"), id="acceptance_rate-inf"),
+        pytest.param(None, [1, 2], id="not-an-object"),
+        pytest.param("version", 2, id="version-2"),
+        pytest.param("version", True, id="version-true"),
+    ])
+    def test_dataset(self, tmp_path, capsys, trained, key, value):
+        run, cfg = trained
+        bad = rewrite_header(run / "dataset.bin", tmp_path / "bad.bin", key, value)
+        self.train_exits_3(capsys, ["train", "--config", cfg, "--out",
+                                    str(tmp_path / "o"), "--data", bad], bad)
+
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("d", DROP, id="no-d"),
+        pytest.param("theta", DROP, id="no-theta"),
+        pytest.param("widths", 32, id="widths-an-int"),
+        pytest.param("theta", "a", id="theta-a-string"),
+        pytest.param("L", True, id="L-true"),
+        pytest.param("theta", float("nan"), id="theta-nan"),
+        pytest.param(None, [1, 2], id="not-an-object"),
+        pytest.param("version", 2, id="version-2"),
+        pytest.param("widths", [-32, 32, 32, 32], id="width-negative"),
+        pytest.param("L", 99, id="L-not-len-widths-minus-1"),
+    ])
+    def test_checkpoint(self, tmp_path, capsys, trained, key, value):
+        run, cfg = trained
+        bad = rewrite_header(run / "checkpoint.bin", tmp_path / "bad.bin", key, value)
+        self.train_exits_3(capsys, ["train", "--config", cfg, "--out",
+                                    str(tmp_path / "o"), "--data",
+                                    str(run / "dataset.bin"), "--checkpoint", bad], bad)
+
+    def test_rewrite_alone_keeps_a_loadable_file(self, tmp_path, trained):
+        # the cases above fail for their edit, not for the rewriting
+        run, _ = trained
+        ds = rewrite_header(run / "dataset.bin", tmp_path / "ds.bin", "version", 1)
+        assert data.load_dataset(ds).n == 40
+        ck = rewrite_header(run / "checkpoint.bin", tmp_path / "ck.bin", "version", 1)
+        assert model.load_checkpoint(ck).depth == 3
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -56,6 +56,15 @@ class TestInit:
         with pytest.raises(model.ConfigError):
             init_gaussian(RngState(0), 4, 3, 0, 0, 0.01)  # empty output width
 
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_nan_theta_rejected(self, arch):
+        # NaN fails both theta < 0 and theta * L > 1, so only theta >= 0 catches it
+        with pytest.raises(model.ConfigError, match="theta"):
+            small_net(theta=float("nan"), arch=arch)
+        p = small_net(arch=arch)
+        with pytest.raises(model.ConfigError, match="theta"):
+            model.NetworkParams(p.weights, float("nan"), p.v, arch)
+
     def test_init_weight_spectral_norms_in_band(self):
         # square Gaussian layers with entry variance 2/m concentrate near 2*sqrt(2)
         lo, hi = np.inf, -np.inf
