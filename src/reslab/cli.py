@@ -5,14 +5,16 @@ randomness flows from that seed through named substreams (teacher/data/init/
 ball/xi/...).  CLI flags override config-file keys, which override built-in
 defaults, and every output directory embeds the resolved config it was
 produced with.  The flags are --config, --seed, --out, --arch, --probes,
---data and --checkpoint; every other value is set in the config file.  The
-skip weight is theta_per_L / L and the step size eta_scale / m, with m the
-width of the network being trained.
+--data and --checkpoint; every other value is set in the config file.  One
+table, ``KEYS``, gives each key its default and its check, and the config
+is checked whole when it is loaded, before any command reads it.  The skip
+weight is theta_per_L / L and the step size eta_scale / m, with m the width
+of the network being trained.
 
 Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O error,
 malformed or invalid file, or shape mismatch, 4 usage error: an unknown flag
-or config key, or a config value of the wrong type, a non-finite number, or
-one the lab rejects (``model.ConfigError``).
+or config key, a config value that fails its key's check, or one the lab
+rejects (``model.ConfigError``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ if os.environ.get("LAB_THREADS"):
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -42,36 +43,30 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
 
-DEFAULTS = {
-    "d": 10, "L": 16, "m": 256, "m_last": None, "n": 200,
-    "gamma": 0.1, "M": 64,
-    "theta_per_L": 0.1, "eta_scale": 10.0,
-    "K": 2000, "stop_surrogate": None,
-    "seed": 0, "arch": "residual",
-    "probes": "all",
-    "data": None, "checkpoint": None,
-    "out": "out",
-    "heldout_n": 2000,
-    "ball_tau": 0.1, "probe_inputs": 50, "probe_draws": 8,
-    "tau_grid": [0.01, 0.03, 0.1, 0.3],
-    "beta_grid": [0.001, 0.01, 0.1],
-    "sparsity": 16, "trials": 20,
-    "xi_draws": 16, "ascent_steps": 50,
-    "markov_band": 0.03,
-    "sweep_L": [4, 16, 64], "sweep_arch": ["residual", "plain"],
-    "sweep_m": 128, "sweep_eta_scale": 2.0, "steps_budget": 2000,
-    "surrogate_target": 0.3,
+# Each config key's default and its check, one of ``data``'s (what the value
+# must be, its test); null stays allowed where the default is null.  Counts
+# are at least 1, as a count of 0 would divide by zero or make a verdict from
+# no trials, but K, a number of GD steps, may be 0.
+KEYS = {
+    "d": (10, data.SIZE), "L": (16, data.SIZE), "m": (256, data.SIZE),
+    "m_last": (None, data.SIZE), "n": (200, data.SIZE), "gamma": (0.1, data.AMOUNT),
+    "M": (64, data.SIZE), "theta_per_L": (0.1, data.NUMBER),
+    "eta_scale": (10.0, data.NUMBER), "K": (2000, data.COUNT),
+    "stop_surrogate": (None, data.NUMBER), "seed": (0, data.INTEGER),
+    "arch": ("residual", data.TEXT), "probes": ("all", data.TEXT),
+    "data": (None, data.TEXT), "checkpoint": (None, data.TEXT), "out": ("out", data.TEXT),
+    "heldout_n": (2000, data.SIZE), "ball_tau": (0.1, data.AMOUNT),
+    "probe_inputs": (50, data.SIZE), "probe_draws": (8, data.SIZE),
+    "tau_grid": ([0.01, 0.03, 0.1, 0.3], data.POSITIVES),
+    "beta_grid": ([0.001, 0.01, 0.1], data.POSITIVES),
+    "sparsity": (16, data.SIZE), "trials": (20, data.SIZE), "xi_draws": (16, data.SIZE),
+    "ascent_steps": (50, data.SIZE), "markov_band": (0.03, data.NUMBER),
+    "sweep_L": ([4, 16, 64], data.SIZES),
+    "sweep_arch": (["residual", "plain"], data.TEXTS), "sweep_m": (128, data.SIZE),
+    "sweep_eta_scale": (2.0, data.NUMBER), "steps_budget": (2000, data.SIZE),
+    "surrogate_target": (0.3, data.NUMBER),
 }
-
-# The type of each key whose default is null, which stays allowed.
-NULLABLE = {"m_last": 0, "stop_surrogate": 0.0, "data": "", "checkpoint": ""}
-
-# The least value of each key, or of each item of a list: a count below 1
-# would divide by zero or make a verdict from no trials (K may be 0, a run
-# with no step), and a margin or a radius is at least 0.
-LEAST = {**dict.fromkeys(("n", "M", "L", "heldout_n", "probe_inputs", "probe_draws",
-                          "trials", "xi_draws", "ascent_steps", "sweep_L"), 1),
-         "gamma": 0, "ball_tau": 0}
+DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
 PROBE_NAMES = [
     "activation_norms", "input_lipschitz", "weight_lipschitz_flips",
@@ -104,7 +99,7 @@ def load_config(path=None, overrides=None) -> dict:
             raise FileNotFoundError(f"config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
@@ -114,37 +109,10 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["m_last"] is None:
         cfg["m_last"] = cfg["m"]
     for key, value in cfg.items():
-        like = DEFAULTS[key]
-        if like is None:
-            if value is None:
-                continue
-            like = NULLABLE[key]
-        if _mistyped(value, like) or (isinstance(like, list) and any(
-                _mistyped(item, like[0]) for item in value)):
-            raise UsageError(f"config value {key}={value!r} does not have the type "
-                             f"of {like!r}")
-        # JSON's NaN and Infinity parse as floats, which no key means
-        if any(isinstance(item, float) and not math.isfinite(item)
-               for item in _items(value)):
-            raise UsageError(f"config value {key}={value!r} is not finite")
-    for key, least in LEAST.items():
-        if any(item < least for item in _items(cfg[key])):
-            raise UsageError(f"config value {key}={cfg[key]!r} must be at least {least}")
-    for key in ("tau_grid", "beta_grid"):
-        if not cfg[key] or any(item <= 0 for item in cfg[key]):
-            raise UsageError(f"config value {key}={cfg[key]!r} must be a nonempty "
-                             f"list of values above 0")
+        default, (what, ok) = KEYS[key]
+        if not (ok(value) or (value is None and default is None)):
+            raise UsageError(f"config value {key}={value!r} must be {what}")
     return cfg
-
-
-def _items(value) -> list:
-    return value if isinstance(value, list) else [value]
-
-
-def _mistyped(value, like) -> bool:
-    """An int passes for a float; a bool passes for nothing."""
-    want = (int, float) if isinstance(like, float) else type(like)
-    return isinstance(value, bool) or not isinstance(value, want)
 
 
 def resolved_theta(cfg) -> float:
@@ -239,11 +207,7 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
     if name == "gradient_bounds":
         tcfg = trainer.TrainConfig(eta=resolved_eta(cfg, params.m),
                                    steps=cfg["K"], stop_surrogate=0.25)
-        result = trainer.train(params, ds, tcfg)
-        report = probes.probe_gradient_bounds(params, ds, result.records)
-        report.measured["column_sets"] = probes.last_layer_column_sets(
-            params, result.params, ds)
-        return report
+        return probes.probe_gradient_bounds(params, ds, trainer.train(params, ds, tcfg))
     if name == "separability":
         return probes.probe_separability(ds.teacher, params, ds,
                                          root.substream("control"))

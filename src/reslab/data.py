@@ -4,8 +4,9 @@ The teacher is a finite random-features sum f(x) = (1/M) sum_j c_j relu(u_jᵀx)
 with u_j standard Gaussian directions and c_j in {±1}.  Inputs are drawn
 uniformly on the unit sphere, labeled y = sign(f(x)), and rejection-sampled
 to |f(x)| >= gamma, so every kept sample carries a hard margin certificate
-y·f(x) >= gamma.  Here too are the lab's one JSON and one CSV writer and
-both binary files' framing, whose reader checks every header value it reads.
+y·f(x) >= gamma.  Here too are the lab's one JSON and one CSV writer, both
+binary files' framing, whose reader checks every header value it reads, and
+the checks on outside values that file headers and config keys share.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ PILOT_DRAWS = 100_000
 MIN_ACCEPT_RATE = 0.01
 MIN_CLASS_FRACTION = 0.05
 _CHUNK = 20_000
+NORM_TOL = 1e-9  # allowed deviation of a sample's or an input's norm from 1
 
 
 class InfeasibleMarginError(ValueError):
@@ -189,14 +191,21 @@ def make_dataset(rng: RngState, d: int, M: int, gamma: float, n: int) -> MarginD
 
 FRAME_VERSION = 1
 
-# Header value checks: (what the value must be, its test).  Sizes stay below
+# Checks on outside values, file headers and config keys alike: (what the
+# value must be, its test); a bool passes none.  Sizes and counts stay below
 # 2**28, as numpy refuses a record of that many float64 (2 GiB).
 SIZE = ("a positive integer below 2**28", lambda v: type(v) is int and 0 < v < 2**28)
-AMOUNT = ("a finite number >= 0",
-          lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max)
+COUNT = ("an integer >= 0 below 2**28", lambda v: type(v) is int and 0 <= v < 2**28)
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a finite number",
+          lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+AMOUNT = ("a finite number >= 0", lambda v: NUMBER[1](v) and v >= 0)
 TEXT = ("a string", lambda v: type(v) is str)
 SIZES = ("a nonempty list of positive integers below 2**28",
          lambda v: type(v) is list and v != [] and all(map(SIZE[1], v)))
+POSITIVES = ("a nonempty list of finite numbers above 0", lambda v: type(v) is list
+             and v != [] and all(NUMBER[1](x) and x > 0 for x in v))
+TEXTS = ("a list of strings", lambda v: type(v) is list and all(map(TEXT[1], v)))
 SEED = ("null or two integers >= 0", lambda v: v is None or (
     type(v) is list and len(v) == 2 and all(type(s) is int and s >= 0 for s in v)))
 
@@ -285,7 +294,7 @@ def load_dataset(path) -> MarginDataset:
     if np.any(np.abs(ys) != 1.0):
         raise DataInvariantError(f"{path}: labels must be ±1")
     norms = np.linalg.norm(xs, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a non-finite sample fails too
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # a non-finite sample fails too
         bad = int(np.argmax(np.abs(norms - 1.0)))  # the first NaN, if any
         raise DataInvariantError(
             f"{path}: sample {bad} is off the unit sphere (norm {norms[bad]:.6f})")

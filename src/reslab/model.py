@@ -34,8 +34,6 @@ from .numkit import RngState, Vector
 ARCH_RESIDUAL = "residual"
 ARCH_PLAIN = "plain"
 
-NORM_TOL = 1e-9  # allowed deviation of input norms from 1
-
 
 class ConfigError(ValueError):
     """A network, training or probe hyperparameter outside its valid range."""
@@ -151,10 +149,10 @@ def init_gaussian(rng: RngState, d: int, L: int, m: int, m_last: int,
 
 def _check_unit_rows(x: np.ndarray) -> None:
     norms = np.linalg.norm(x, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # NaN rows fail too
+    if not np.all(np.abs(norms - 1.0) <= data.NORM_TOL):  # NaN rows fail too
         worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"inputs must lie on the unit sphere (|‖x‖−1| ≤ {NORM_TOL}); "
-                         f"worst deviation {worst:.3g}")
+        raise ValueError(f"inputs must lie on the unit sphere "
+                         f"(|‖x‖−1| ≤ {data.NORM_TOL}); worst deviation {worst:.3g}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv``.
 A report's fit, bound, verdict and measured values are recomputable from
 its details rows and the configs, but for three measured values:
 semismoothness's ``control_residual``, ``gradient_bounds``'
-``column_sets`` and ``input_lipschitz``'s ``pairs_used``.
+``column_sets``, read from the trained network, and
+``input_lipschitz``'s ``pairs_used``.
 """
 
 from __future__ import annotations
@@ -297,8 +298,7 @@ def _layered_weight_basis(params, wa, wb):
 
 
 def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
-                                     inputs, tau_grid=(0.01, 0.03, 0.1, 0.3),
-                                     draws=8) -> ProbeReport:
+                                     inputs, tau_grid, draws) -> ProbeReport:
     """Weight-space Lipschitz constant and flip-count scaling over tau.
 
     For pairs drawn in each tau-ball: (a) fits C2 in the layered bound
@@ -407,7 +407,7 @@ def flip_targeted_draw(ball: PerturbationBall, x, g) -> NetworkParams:
 
 
 def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
-                         tau=0.1, draws=50, dataset=None) -> ProbeReport:
+                         tau, draws, dataset=None) -> ProbeReport:
     """Taylor residual of the output against the semismoothness basis.
 
     Each trial evaluates R = f_a(x) - f_b(x) - sum_l tr[(Wa_l - Wb_l)ᵀ
@@ -521,15 +521,17 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
 # ---------------------------------------------------------------------------
 
 def probe_gradient_bounds(params: NetworkParams, dataset: MarginDataset,
-                          records) -> ProbeReport:
-    """Normalized gradient ratios along a recorded training trajectory.
+                          result: trainer.TrainResult) -> ProbeReport:
+    """Normalized gradient ratios along ``result``'s recorded trajectory,
+    the training of ``params`` on ``dataset``.
 
     Upper:  ||grad_l||_F / (scale_l * sqrt(m) * E_S); the max is the fitted C.
     Lower:  ||grad_{L+1}||_F² / (m_{L+1} * gamma⁴ * E_S²), gamma the
     dataset teacher's margin; the min is the fitted lower constant;
-    positivity is the point.
+    positivity is the point.  ``column_sets`` is the
+    ``last_layer_column_sets`` of ``params`` and ``result.params``.
     """
-    if not records:
+    if not result.records:
         raise ValueError("need a nonempty trajectory")
     if not isinstance(dataset, MarginDataset):
         raise ValueError("no margin available: need a dataset with a teacher")
@@ -538,7 +540,7 @@ def probe_gradient_bounds(params: NetworkParams, dataset: MarginDataset,
     L = params.depth
     sqrt_m = math.sqrt(m)
     rows = []
-    for rec in records:
+    for rec in result.records:
         es = rec.surrogate
         if es <= 0:
             continue  # saturated surrogate: ratios undefined
@@ -550,7 +552,8 @@ def probe_gradient_bounds(params: NetworkParams, dataset: MarginDataset,
     low = min((r[3] for r in rows), default=np.inf)
     return ProbeReport(
         name="gradient_bounds",
-        measured={"fitted_upper": up, "fitted_lower": low},
+        measured={"fitted_upper": up, "fitted_lower": low, "column_sets":
+                  last_layer_column_sets(params, result.params, dataset)},
         bound_expr=up,
         constant_fit=up,
         trials=len(rows),
@@ -674,8 +677,7 @@ def probe_separability(teacher: Teacher, params: NetworkParams,
 # near-threshold pre-activation index sets
 # ---------------------------------------------------------------------------
 
-def probe_threshold_indices(params: NetworkParams, inputs,
-                            beta_grid=(0.001, 0.01, 0.1)) -> ProbeReport:
+def probe_threshold_indices(params: NetworkParams, inputs, beta_grid) -> ProbeReport:
     """Counts of units with |w_{l,j}ᵀ x_{l-1}| <= beta, against m^(3/2) beta.
 
     Fits the smallest C' with count <= C' * m_l^(3/2) * beta over all
@@ -724,7 +726,7 @@ def _sparse_unit(rng: RngState, dim: int, s: int) -> np.ndarray:
 
 
 def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
-                        sparsity: int, trials: int = 20) -> ProbeReport:
+                        sparsity: int, trials: int) -> ProbeReport:
     """max_l |vᵀ H_l^{L+1} a| for s-sparse unit a, against tau sqrt(m) + sqrt(s log m).
 
     The rows vᵀ H_l^{L+1}, l = 2..L+1, are the backward rows g_1..g_L of
@@ -782,7 +784,7 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
         bound_expr=fitted * basis,
         constant_fit=fitted,
         trials=n,
-        verdict=_verdict(loss <= fitted * basis + 1e-9),
+        verdict=_verdict(loss <= fitted * basis + FIT_SLACK),
         config={"n": n, "m": params.m, "L": params.depth},
         detail_columns=["quantity", "value"],
         details=[["loss", loss], ["surrogate", surrogate],
@@ -852,8 +854,7 @@ def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
 
 
 def rademacher_estimate(params: NetworkParams, tau: float, dataset,
-                        rng: RngState, xi_draws: int = 16,
-                        ascent_steps: int = 50) -> ProbeReport:
+                        rng: RngState, xi_draws: int, ascent_steps: int) -> ProbeReport:
     """Lower estimate of the tau-ball's empirical Rademacher complexity.
 
     For each sign vector xi, projected gradient ascent with step tau / 10
@@ -899,8 +900,7 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
 # surrogate-to-classification step (Markov)
 # ---------------------------------------------------------------------------
 
-def probe_surrogate_markov(params: NetworkParams, heldout,
-                           band: float = 0.03) -> ProbeReport:
+def probe_surrogate_markov(params: NetworkParams, heldout, band: float) -> ProbeReport:
     """Held-out 0-1 error against twice the held-out surrogate loss."""
     xs, ys = heldout.xs, heldout.ys
     outputs = forward_outputs(params, xs)
@@ -1002,10 +1002,8 @@ def _cached_cell(cache_dir, inputs, compute) -> dict:
     return row
 
 
-def depth_sweep(rng: RngState, L_grid=(4, 16, 64), arches=("residual", "plain"),
-                d=10, m=128, n=200, gamma=0.1, M=64, theta_per_L=0.1,
-                eta_scale=2.0, steps_budget=2000, surrogate_target=0.3,
-                cache_dir=None) -> ProbeReport:
+def depth_sweep(rng: RngState, L_grid, arches, d, m, n, gamma, M, theta_per_L,
+                eta_scale, steps_budget, surrogate_target, cache_dir=None) -> ProbeReport:
     """Steps-to-surrogate-threshold across depths for both architectures.
 
     All cells share one dataset and one tuning protocol (see sweep_cell).

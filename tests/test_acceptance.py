@@ -166,7 +166,7 @@ def test_criterion_07_gradient_bound_ratios(golden_runs):
     uppers, lowers = [], []
     for seed in GOLDEN_SEEDS:
         params, ds, res = golden_runs[seed]
-        rep = probes.probe_gradient_bounds(params, ds, res.records)
+        rep = probes.probe_gradient_bounds(params, ds, res)
         uppers.append(rep.measured["fitted_upper"])
         lowers.append(rep.measured["fitted_lower"])
     up_spread = max(uppers) / min(uppers)

@@ -99,8 +99,17 @@ class TestConfig:
         ("probe", "xi_draws", 0), ("probe", "ascent_steps", 0), ("sweep", "sweep_L", [0]),
         ("probe", "tau_grid", []), ("probe", "beta_grid", []),
         ("probe", "tau_grid", [0.0, 0.1]), ("probe", "beta_grid", [-0.1, 0.1]),
-        ("train", "gamma", -0.1), ("probe", "ball_tau", -0.1)])
+        ("train", "gamma", -0.1), ("probe", "ball_tau", -0.1),
+        # a d below 1 ended gen-data in a traceback or an infeasibility exit;
+        # a value is refused where it is loaded, also by a command that does
+        # not read it
+        ("gen-data", "d", -1), ("gen-data", "d", 0), ("train", "d", -1), ("train", "d", 0),
+        ("probe", "d", -1), ("probe", "d", 0), ("sweep", "d", -1), ("sweep", "d", 0),
+        ("probe --probes activation_norms", "sparsity", 0), ("train", "steps_budget", 0),
+        # an integer past the float range passed for a number, then overflowed
+        pytest.param("train", "eta_scale", 10**400, id="train-eta_scale-10**400")])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
+        command, *flags = command.split()  # a case may name its probes
         out = str(tmp_path / "o")
         assert main(["gen-data", "--config", write_config(tmp_path / "c.json"),
                      "--out", out]) == 0
@@ -113,7 +122,7 @@ class TestConfig:
                  "xi_draws": "rademacher", "ascent_steps": "rademacher"}.get(key)
         capsys.readouterr()
         assert main([command, "--config", bad, "--out", out]
-                    + (["--probes", probe] if probe else [])) == 4
+                    + (flags or (["--probes", probe] if probe else []))) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
 

@@ -574,7 +574,7 @@ class TestGradientBounds:
     def test_ratios_normalized_and_positive(self, toy):
         rng, _, ds, params = toy
         res = trainer.train(params, ds, trainer.TrainConfig(eta=0.05, steps=10))
-        rep = probes.probe_gradient_bounds(params, ds, res.records)
+        rep = probes.probe_gradient_bounds(params, ds, res)
         assert rep.verdict == "hold"
         assert rep.measured["fitted_lower"] > 0
         assert np.isfinite(rep.measured["fitted_upper"])
@@ -595,7 +595,15 @@ class TestGradientBounds:
         rng, _, ds, params = toy
         res = trainer.train(params, ds, trainer.TrainConfig(eta=0.05, steps=2))
         with pytest.raises(ValueError):
-            probes.probe_gradient_bounds(params, (ds.xs, ds.ys), res.records)
+            probes.probe_gradient_bounds(params, (ds.xs, ds.ys), res)
+
+    def test_report_carries_the_column_sets(self, toy):
+        # the probe adds the diagnostics of the trained network it is given
+        rng, _, ds, params = toy
+        res = trainer.train(params, ds, trainer.TrainConfig(eta=0.05, steps=5))
+        rep = probes.probe_gradient_bounds(params, ds, res)
+        assert rep.measured["column_sets"] == probes.last_layer_column_sets(
+            params, res.params, ds)
 
     def test_column_set_diagnostics(self, toy):
         rng, _, ds, params = toy
@@ -724,7 +732,7 @@ class TestSparseOutput:
     def test_sparsity_validated(self, toy):
         rng, _, _, params = toy
         with pytest.raises(ValueError):
-            probes.probe_sparse_output(params, rng, 0.1, params.m + 1)
+            probes.probe_sparse_output(params, rng, 0.1, params.m + 1, trials=20)
 
     def test_holds_one_draw_at_a_time(self, traced_peak, deep):
         # one draw, its one-row trace and a draw's temporaries: below two
@@ -926,7 +934,8 @@ class TestMarkov:
         rng, params, _ = deep
         teacher = make_teacher(rng.substream("t"), params.d, 32, 0.05)
         heldout = sample_dataset(teacher, rng.substream("h"), 500, pilot_draws=5000)
-        rep, peak = traced_peak(lambda: probes.probe_surrogate_markov(params, heldout))
+        rep, peak = traced_peak(lambda: probes.probe_surrogate_markov(
+            params, heldout, band=0.03))
         trace = forward_batch(params, heldout.xs)
         assert rep.measured["test_error"] == lossgrad.zero_one_error(trace.outputs,
                                                                       heldout.ys)
@@ -951,7 +960,7 @@ class TestDepthSweep:
     def test_tiny_sweep_structure(self):
         rng = RngState(81)
         rep = probes.depth_sweep(rng, L_grid=(2, 4), arches=("residual",),
-                                 d=6, m=32, n=40, gamma=0.05, M=32,
+                                 d=6, m=32, n=40, gamma=0.05, M=32, theta_per_L=0.1,
                                  eta_scale=2.0, steps_budget=300,
                                  surrogate_target=0.35)
         assert len(rep.details) == 2
@@ -965,7 +974,8 @@ class TestDepthSweep:
         # so a new argument cannot be left out of the cache key
         rng = RngState(82).substream("sweep")
         probes.depth_sweep(rng, L_grid=(2,), arches=("plain",), d=6, m=16, n=40,
-                           gamma=0.05, M=32, steps_budget=3, surrogate_target=0.35,
+                           gamma=0.05, M=32, theta_per_L=0.1, eta_scale=2.0,
+                           steps_budget=3, surrogate_target=0.35,
                            cache_dir=str(tmp_path))
         with open(tmp_path / "cell_plain_L2" / "cell.json", encoding="utf-8") as fh:
             inputs = json.load(fh)["inputs"]
@@ -980,12 +990,13 @@ class TestDepthSweep:
     def test_step_budget_below_one_rejected(self, budget):
         with pytest.raises(model.ConfigError, match="step budget"):
             probes.depth_sweep(RngState(84), L_grid=(2,), arches=("residual",),
-                               d=6, m=16, n=40, gamma=0.05, M=32,
-                               steps_budget=budget)
+                               d=6, m=16, n=40, gamma=0.05, M=32, theta_per_L=0.1,
+                               eta_scale=2.0, steps_budget=budget, surrogate_target=0.3)
 
     def test_plain_only_sweep_has_no_residual_ratio(self):
         rep = probes.depth_sweep(RngState(83), L_grid=(2, 3), arches=("plain",),
-                                 d=6, m=16, n=40, gamma=0.05, M=32, steps_budget=3)
+                                 d=6, m=16, n=40, gamma=0.05, M=32, theta_per_L=0.1,
+                                 eta_scale=2.0, steps_budget=3, surrogate_target=0.3)
         assert len(rep.details) == 2
         assert math.isnan(rep.measured["residual_step_ratio"])
 
@@ -993,8 +1004,8 @@ class TestDepthSweep:
         # the L=4 cell stops at step 0 while L=2 takes 8 steps: an unbounded
         # ratio, not the 1.0 of cells that all stop at once
         rep = probes.depth_sweep(RngState(1), L_grid=(2, 4, 8), arches=("residual",),
-                                 d=6, m=32, n=40, gamma=0.05, M=32, steps_budget=50,
-                                 surrogate_target=0.45)
+                                 d=6, m=32, n=40, gamma=0.05, M=32, theta_per_L=0.1,
+                                 eta_scale=2.0, steps_budget=50, surrogate_target=0.45)
         assert [row[4] for row in rep.details] == [8, 0, 1]
         assert rep.measured["residual_step_ratio"] == math.inf
         assert rep.verdict == "violated"

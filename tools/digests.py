@@ -4,9 +4,10 @@ every byte the lab writes.
     python3 tools/digests.py            # run, compare with DIGESTS.json
     python3 tools/digests.py --write    # run, (re)write DIGESTS.json
 
-The command set is the commands of each ``bench/configs/*.json`` workload
-at seeds 0 and 1, ``probe`` on ``configs/golden.json`` at seed 0 with every
-probe but ``depth_sweep``, and ``gradcheck``.  Each command runs in this
+The command set is the commands of each workload in ``bench/run.py``'s
+``WORKLOADS``, on its ``bench/configs`` file, at seeds 0 and 1, ``probe``
+on ``configs/golden.json`` at seed 0 with every probe but ``depth_sweep``,
+and ``gradcheck``.  Each command runs in this
 process through ``reslab.cli.main``, imported from this checkout's
 ``src/``, with one BLAS thread, into a fresh directory per run.  Every file
 a run writes gets one SHA-256, and so does each command's standard output.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -39,13 +41,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "DIGESTS.json"
 SEEDS = (0, 1)
-# The commands each bench workload runs, in order.
-WORKLOAD_COMMANDS = {
-    "train-golden": ("gen-data", "train"),
-    "probe-ball": ("probe",),
-    "depth-sweep": ("sweep",),
-    "rademacher-ascent": ("probe",),
-}
 OUT_MARK = b"<out>"
 
 
@@ -61,17 +56,24 @@ def _import_cli():
     return cli
 
 
+def bench_workloads() -> dict:
+    """``bench/run.py``'s ``WORKLOADS``, read from the module without running it."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 def command_set(cli) -> list:
     """(run name, [reslab argv without --out, ...]) in the order they run."""
     runs = []
-    for config in sorted((ROOT / "bench" / "configs").glob("*.json")):
-        commands = WORKLOAD_COMMANDS.get(config.stem)
-        if commands is None:
-            sys.exit(f"digests: no command list for bench config {config.name}")
-        rel = str(config.relative_to(ROOT))
+    for workload in sorted(bench_workloads().values(), key=lambda w: w.config):
+        rel = f"bench/configs/{workload.config}"
+        stem = Path(workload.config).stem
         for seed in SEEDS:
-            runs.append((f"{config.stem}/seed{seed}",
-                         [[c, "--config", rel, "--seed", str(seed)] for c in commands]))
+            runs.append((f"{stem}/seed{seed}", [[c, "--config", rel, "--seed", str(seed)]
+                                                for c in workload.commands]))
     golden = [p for p in cli.PROBE_NAMES if p != "depth_sweep"]
     runs.append(("golden-probe/seed0", [["probe", "--config", "configs/golden.json",
                                          "--seed", "0", "--probes", ",".join(golden)]]))
