@@ -19,7 +19,10 @@ that pins it, is dropped before the next is made.  Probes that read only
 outputs, or one layer at a time, take them from ``model.forward_outputs``
 or the forward stream and hold no trace.  The Rademacher ascent steps and
 projects each layer as it leaves ``lossgrad``'s gradient stream, writing
-into the iterate's own buffers from its second step on.
+into the iterate's own buffers from its second step on.  It holds one
+trace at a time: the center's is formed for a draw's first step and again
+for its linearization gap, which forms each layer's step as the center's
+backward rows reach it.
 
 Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv``.
 A report's fit, bound, verdict and measured values are recomputable from
@@ -359,13 +362,17 @@ def _linear_term(ref: NetworkParams, bt, l: int, masked, delta) -> np.ndarray:
     return ref.layer_scale(l) * np.sum((bt.activations[l - 1] @ delta) * masked, axis=1)
 
 
-def _linearization_terms(ref: NetworkParams, bt, rows, deltas) -> np.ndarray:
-    """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized, from
-    ``rows``, the items of ``lossgrad._backward_rows(ref, bt)`` (the stream
-    or a list of it), with the layer terms added for l = 1..L+1."""
+def _linearization_terms(ref: NetworkParams, bt, rows, point: NetworkParams) -> np.ndarray:
+    """Per-sample sum_l tr[delta_lᵀ grad_{W_l} f_ref(x_i)], vectorized, with
+    delta_l = point_l - ref_l, from ``rows``, the items of
+    ``lossgrad._backward_rows(ref, bt)`` (the stream or a list of it).  Each
+    delta_l is formed as its row arrives and dropped after its term, so no
+    list of all L+1 steps exists; the terms are added for l = 1..L+1."""
     terms = [None] * (ref.depth + 1)
     for l, _, masked in rows:
-        terms[l - 1] = _linear_term(ref, bt, l, masked, deltas[l - 1])
+        delta = point.weights[l - 1] - ref.weights[l - 1]
+        terms[l - 1] = _linear_term(ref, bt, l, masked, delta)
+        del delta
     return sum(terms, np.zeros(bt.n))
 
 
@@ -493,9 +500,8 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     gb = None
     wc = ball.draw()
     btc = forward_batch(wc, xs)
-    zero = [np.broadcast_to(0.0, w.shape) for w in wc.weights]  # no storage
     control = btc.outputs - btc.outputs - _linearization_terms(
-        wc, btc, lossgrad._backward_rows(wc, btc), zero)
+        wc, btc, lossgrad._backward_rows(wc, btc), wc)
     control_residual = float(np.max(np.abs(control)))
 
     ok = control_residual <= 1e-12
@@ -824,18 +830,21 @@ def _ascent_step(params: NetworkParams, center: NetworkParams, tau, bt,
     return params.with_weights(stepped)
 
 
-def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
+def _ascend(params: NetworkParams, tau, xs, xi, step_size, steps):
     """One draw of ``rademacher_estimate``: the best centered value of the
-    ascent from ``params`` (trace ``bt0``, which also takes the first step)
-    and the linearization gap at its endpoint, or None on divergence.  A
-    trace holds its iterate, so each is dropped once its gradient is
-    taken."""
+    ascent from ``params`` and the linearization gap at its endpoint, or
+    None on divergence.  The ascent holds one trace: the center's takes the
+    first step and is formed again for the gap, and every other trace holds
+    its iterate and is dropped once its gradient is taken.  The gap forms
+    each layer's step as the center's backward rows reach it."""
     n = xs.shape[0]
-    center_obj = float(xi @ bt0.outputs) / n
+    bt = forward_batch(params, xs)
+    center_obj = float(xi @ bt.outputs) / n
     current = params
     best = 0.0  # value of the center itself, post-centering
     for k in range(steps):
-        bt = bt0 if k == 0 else forward_batch(current, xs)
+        if k:
+            bt = forward_batch(current, xs)
         obj = float(xi @ bt.outputs) / n - center_obj
         if not np.isfinite(obj):
             return None
@@ -847,10 +856,10 @@ def _ascend(params: NetworkParams, tau, xs, bt0, xi, step_size, steps):
     if np.isfinite(obj_end):
         best = max(best, obj_end)
     # first-order linearization gap at the endpoint
-    deltas = [w - w0 for w, w0 in zip(current.weights, params.weights)]
-    lin = _linearization_terms(params, bt0, lossgrad._backward_rows(params, bt0),
-                               deltas)
-    return best, float(np.max(np.abs(outputs - (bt0.outputs + lin))))
+    bt = forward_batch(params, xs)
+    lin = _linearization_terms(params, bt, lossgrad._backward_rows(params, bt),
+                               current)
+    return best, float(np.max(np.abs(outputs - (bt.outputs + lin))))
 
 
 def rademacher_estimate(params: NetworkParams, tau: float, dataset,
@@ -868,11 +877,10 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     n = xs.shape[0]
     m = params.m
     step_size = tau / 10.0
-    bt0 = forward_batch(params, xs)
     rows = []
     for t in range(xi_draws):
         xi = rng.substream(f"xi/{t}").signs(n)
-        ascent = _ascend(params, tau, xs, bt0, xi, step_size, ascent_steps)
+        ascent = _ascend(params, tau, xs, xi, step_size, ascent_steps)
         if ascent is not None:  # a diverged draw is dropped
             rows.append([t, *ascent])
 

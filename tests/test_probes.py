@@ -520,7 +520,7 @@ class TestSemismoothness:
                 h += params.layer_scale(l) * numkit.spectral_norm(d)
             bt = centers[i]
             lin = probes._linearization_terms(
-                params, bt, list(lossgrad._backward_rows(params, bt)), deltas)
+                params, bt, list(lossgrad._backward_rows(params, bt)), wa)
             resid = float(forward_batch(wa, xs[i][None, :]).outputs[0]
                           - bt.outputs[0] - lin[0])
             la = lossgrad.empirical_loss(forward_batch(wa, ds.xs).outputs, ds.ys)
@@ -805,10 +805,21 @@ class TestRademacher:
                                          xi_draws=4, ascent_steps=5)
         assert rep.measured["estimate"] == 0.0
 
+    def test_no_ascent_step_is_the_center(self, toy):
+        # the config refuses ascent_steps 0, but a direct caller may pass
+        # it: the center's own value is the estimate, and its gap is 0
+        rng, _, ds, params = toy
+        rep = probes.rademacher_estimate(params, 0.1, ds, rng.substream("r0"),
+                                         xi_draws=3, ascent_steps=0)
+        assert rep.measured["estimate"] == 0.0
+        assert rep.measured["linearization_gap"] == 0.0
+        assert rep.measured["dropped"] == 0
+
     def test_center_rows_streamed_once_per_draw(self, toy, monkeypatch):
         # one backward pass per ascent step, plus the center's rows once per
         # draw, streamed at its endpoint rather than held through the probe;
-        # the first step's pass is the center's own trace, not a new one
+        # the first step's pass is on a trace of the center, formed for
+        # that draw and dropped after its step
         rng, _, ds, params = toy
         traces = []
         rows = lossgrad._backward_rows
@@ -822,18 +833,20 @@ class TestRademacher:
                                          xi_draws=3, ascent_steps=4)
         assert rep.measured["dropped"] == 0
         assert len(traces) == 3 + 3 * 4
-        center = traces[-1]  # it also takes each draw's first step
-        assert [i for i, bt in enumerate(traces) if bt is center] == [0, 4, 5, 9, 10, 14]
+        assert [i for i, bt in enumerate(traces) if bt.params is params] == [0, 4, 5, 9, 10, 14]
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_streamed_linearization_bits_match_list_formula(self, toy, arch):
         # the per-layer n-vectors arrive from layer L+1 down but are added
-        # for l = 1..L+1, as the formula over a list of all rows adds them
+        # for l = 1..L+1, as the formula over a list of all rows and all
+        # steps point - ref adds them
         rng, _, ds, params = toy
         params = replace(params, arch=arch)
         bt = forward_batch(params, ds.xs)
-        deltas = [0.01 * rng.substream(f"lin/{l}").standard_normal(w.shape)
-                  for l, w in enumerate(params.weights)]
+        point = params.with_weights(
+            w + 0.01 * rng.substream(f"lin/{l}").standard_normal(w.shape)
+            for l, w in enumerate(params.weights))
+        deltas = [w - w0 for w, w0 in zip(point.weights, params.weights)]
         L = params.depth
         masked = [None] * (L + 2)
         g = np.broadcast_to(params.v, (bt.n, params.m_last))
@@ -848,7 +861,7 @@ class TestRademacher:
                 (bt.activations[l - 1] @ deltas[l - 1]) * masked[l], axis=1)
         for rows in (lossgrad._backward_rows(params, bt),
                      list(lossgrad._backward_rows(params, bt))):
-            got = probes._linearization_terms(params, bt, rows, deltas)
+            got = probes._linearization_terms(params, bt, rows, point)
             assert got.tobytes() == want.tobytes()
 
     @staticmethod
@@ -897,9 +910,12 @@ class TestRademacher:
 
     def test_ascent_holds_few_parameter_sets(self, traced_peak):
         # each layer is stepped and projected as it leaves the gradient
-        # stream, each trace is dropped once its gradient is taken, and the
-        # center's rows are streamed: the traced peak stays within 3.5
-        # parameter sets (4.13 when a step held a whole gradient set)
+        # stream, one trace is alive at a time (the center's is formed
+        # only for a draw's first step and its gap), and the gap forms
+        # each layer's step as the center's rows reach it: the traced peak
+        # stays within one parameter set, one trace and half a set (3.22
+        # sets when the center's trace was held through the probe, 4.13
+        # when a step held a whole gradient set)
         rng = RngState(3)
         teacher = make_teacher(rng.substream("t"), 10, 32, 0.05)
         ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
@@ -907,7 +923,9 @@ class TestRademacher:
         rep, peak = traced_peak(lambda: probes.rademacher_estimate(
             params, 0.1, ds, rng.substream("xi"), xi_draws=3, ascent_steps=4))
         assert rep.measured["dropped"] == 0
-        assert peak <= 3.5 * sum(w.nbytes for w in params.weights)
+        trace = forward_batch(params, ds.xs)
+        held = sum(a.nbytes for a in trace.activations + trace.patterns)
+        assert peak <= 1.5 * sum(w.nbytes for w in params.weights) + held
 
     def test_nondecreasing_in_tau_with_shared_draws(self, toy):
         rng, _, ds, params = toy
