@@ -215,7 +215,7 @@ def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
         return probes.probe_threshold_indices(params, sphere(n_inputs),
                                               tuple(cfg["beta_grid"]))
     if name == "sparse_output":
-        return probes.probe_sparse_output(params, root.substream("ball"),
+        return probes.probe_sparse_output(params, root.substream("sparse"),
                                           cfg["ball_tau"], cfg["sparsity"],
                                           cfg["trials"])
     if name == "loss_at_init":

@@ -14,15 +14,18 @@ the same rows, in ``weight_lipschitz_flips``, ``threshold_indices`` and
 ``sparse_output`` (through ``_fit``), ``input_lipschitz`` and
 ``loss_at_init``.
 
-Ball probes hold one draw at a time: each draw or pair, and every trace
-that pins it, is dropped before the next is made.  Probes that read only
-outputs, or one layer at a time, take them from ``model.forward_outputs``
-or the forward stream and hold no trace.  The Rademacher ascent steps and
-projects each layer as it leaves ``lossgrad``'s gradient stream, writing
-into the iterate's own buffers from its second step on.  It holds one
-trace at a time: the center's is formed for a draw's first step and again
-for its linearization gap, which forms each layer's step as the center's
-backward rows reach it.
+Every point a probe puts in a tau-ball, a draw, a targeted pair or an
+ascent iterate, is placed there by one projection,
+``PerturbationBall._place``, so each layer lies within tau of the center
+as ``numkit.frobenius_norm`` measures it.  Ball probes hold one draw at a
+time: each draw or pair, and every trace that pins it, is dropped before
+the next is made.  Probes that read only outputs, or one layer at a time,
+take them from ``model.forward_outputs`` or the forward stream and hold no
+trace.  The Rademacher ascent steps and places each layer as it leaves
+``lossgrad``'s gradient stream, writing into the iterate's own buffers
+from its second step on.  It holds one trace at a time: the center's is
+formed for a draw's first step and again for its linearization gap, which
+forms each layer's step as the center's backward rows reach it.
 
 Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv``.
 A report's fit, bound, verdict and measured values are recomputable from
@@ -131,6 +134,8 @@ class PerturbationBall:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"radius must be nonnegative, got {self.tau}")
+        if not math.isfinite(self.tau * self.tau):  # its norms would overflow
+            raise ConfigError(f"radius {self.tau!r} squared overflows")
 
     def draw(self) -> NetworkParams:
         new = []
@@ -155,21 +160,24 @@ class PerturbationBall:
              for w, d in zip(self.center.weights, deltas)])
 
     def _place(self, w, delta):
-        # post-projection on the stored difference: (w + delta) - w picks
-        # up cancellation noise, so shrink until the invariant is exact.
-        # The first shrink, 1e-12, suffices at the lab's radii; the noise
-        # grows relative to tau as tau falls, so later shrinks grow from
-        # the excess they measure
-        placed = w + delta
+        """The one projection onto the ball: ``w + delta``, written into
+        ``delta``, its stored difference shrunk radially until within tau.
+        The first shrink, tau / norm less a 1e-12 margin, projects; later
+        ones grow from the excess they measure, as the rounding noise grows
+        relative to tau.  A difference of non-finite norm comes back NaN."""
+        placed = np.add(w, delta, out=delta)
         margin = 1e-12
         for k in range(8):
             stored = placed - w
             dn = numkit.frobenius_norm(stored)
             if dn <= self.tau:
                 return placed
+            if not math.isfinite(dn):
+                placed.fill(np.nan)
+                return placed
             if k > 0:
                 margin = min(_MAX_SHRINK, 2.0 * (margin + (dn - self.tau) / self.tau))
-            placed = w + stored * (self.tau / dn) * (1.0 - margin)
+            np.add(w, stored * (self.tau / dn) * (1.0 - margin), out=placed)
         dn = numkit.frobenius_norm(placed - w)
         if dn <= self.tau:
             return placed
@@ -284,7 +292,7 @@ def _layered_weight_basis(params, wa, wb):
     """Per-layer accumulations of spectral weight differences.
 
     basis[l] corresponds to the bound for ||x^a_l - x^b_l||: layer 1 uses
-    ||d_1||, layers 2..L add s * sum_{r<=l} ||d_r|| with s their common
+    ||d_1||, layers 2..L add s * sum_{r=2..l} ||d_r|| with s their common
     layer scale (theta on a residual net, 1 on the plain baseline), and the
     output layer adds ||d_{L+1}||, so basis[L+1] is the step distance.
     """
@@ -802,41 +810,35 @@ def probe_loss_at_init(params: NetworkParams, dataset) -> ProbeReport:
 # empirical Rademacher complexity of the tau-ball (ascent lower estimate)
 # ---------------------------------------------------------------------------
 
-def _ascent_step(params: NetworkParams, center: NetworkParams, tau, bt,
+def _ascent_step(params: NetworkParams, ball: PerturbationBall, bt,
                  weights, step_size) -> NetworkParams:
     """``params`` moved by ``step_size`` along sum_i weights_i grad f(x_i),
-    then projected, w0 + clip(w - w0), into the per-layer Frobenius
-    tau-ball around ``center``, each layer as it leaves the gradient stream.
+    each layer placed in ``ball`` (``PerturbationBall._place``) as it
+    leaves the gradient stream.
 
-    From the center, the step is written into the gradient's own buffers;
-    from any other iterate, which such a step made, into its own.  So the
-    center's weights are never written.
+    From the center, the step is written into the gradient's own buffers,
+    from any other iterate, which such a step made, into its own; ``_place``
+    places the layer in that buffer, so the center is never written.
     """
-    owned = params is not center
+    owned = params is not ball.center
     stepped = list(params.weights)
     for l, g in lossgrad._layer_gradients(params, bt, weights):
-        w, w0 = stepped[l - 1], center.weights[l - 1]
+        w, w0 = stepped[l - 1], ball.center.weights[l - 1]
         g *= step_size
         d = np.add(w, g, out=w if owned else g)
         del g  # not held while the stream forms the next layer
-        np.subtract(d, w0, out=d)
-        norm = numkit.frobenius_norm(d)
-        if norm > tau:
-            if tau > 0:
-                d *= tau / norm
-            else:
-                d.fill(0.0)
-        stepped[l - 1] = np.add(w0, d, out=d)
+        stepped[l - 1] = ball._place(w0, np.subtract(d, w0, out=d))
     return params.with_weights(stepped)
 
 
-def _ascend(params: NetworkParams, tau, xs, xi, step_size, steps):
+def _ascend(ball: PerturbationBall, xs, xi, step_size, steps):
     """One draw of ``rademacher_estimate``: the best centered value of the
-    ascent from ``params`` and the linearization gap at its endpoint, or
-    None on divergence.  The ascent holds one trace: the center's takes the
-    first step and is formed again for the gap, and every other trace holds
-    its iterate and is dropped once its gradient is taken.  The gap forms
-    each layer's step as the center's backward rows reach it."""
+    ascent in ``ball`` from its center and the linearization gap at its
+    endpoint, or None on divergence.  The ascent holds one trace: the
+    center's takes the first step and is formed again for the gap, and
+    every other trace holds its iterate and is dropped once its gradient is
+    taken.  The gap forms each layer's step as the center's rows reach it."""
+    params = ball.center
     n = xs.shape[0]
     bt = forward_batch(params, xs)
     center_obj = float(xi @ bt.outputs) / n
@@ -849,7 +851,7 @@ def _ascend(params: NetworkParams, tau, xs, xi, step_size, steps):
         if not np.isfinite(obj):
             return None
         best = max(best, obj)
-        current = _ascent_step(current, params, tau, bt, xi / n, step_size)
+        current = _ascent_step(current, ball, bt, xi / n, step_size)
         del bt
     outputs = forward_outputs(current, xs)
     obj_end = float(xi @ outputs) / n - center_obj
@@ -867,12 +869,15 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     """Lower estimate of the tau-ball's empirical Rademacher complexity.
 
     For each sign vector xi, projected gradient ascent with step tau / 10
-    maximizes (1/n) sum_i xi_i f_W(x_i) over the per-layer Frobenius ball;
-    each draw is centered by the initial network's own correlation with xi,
-    so the tau = 0 class yields exactly zero.  The report also carries the
-    largest first-order linearization gap at the ascent endpoints, and the
-    fitted constant against  tau^(4/3) sqrt(m log m) + tau sqrt(m) / sqrt(n).
+    maximizes (1/n) sum_i xi_i f_W(x_i) over the per-layer Frobenius ball,
+    whose ``PerturbationBall._place`` places every iterate; each draw is
+    centered by the initial network's own correlation with xi, so the tau = 0
+    class yields exactly zero.  The report also carries the largest
+    first-order linearization gap at the ascent endpoints, and the fitted
+    constant against tau^(4/3) sqrt(m log m) + tau sqrt(m) / sqrt(n).  A
+    radius the ball refuses raises before any ascent.
     """
+    ball = PerturbationBall(params, tau, rng)
     xs = dataset.xs
     n = xs.shape[0]
     m = params.m
@@ -880,7 +885,7 @@ def rademacher_estimate(params: NetworkParams, tau: float, dataset,
     rows = []
     for t in range(xi_draws):
         xi = rng.substream(f"xi/{t}").signs(n)
-        ascent = _ascend(params, tau, xs, xi, step_size, ascent_steps)
+        ascent = _ascend(ball, xs, xi, step_size, ascent_steps)
         if ascent is not None:  # a diverged draw is dropped
             rows.append([t, *ascent])
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reslab import cli, lossgrad, probes, trainer
-from reslab.data import make_teacher, sample_dataset
+from reslab.data import make_dataset, sample_dataset, unit_sphere_rows
 from reslab.model import forward_batch, init_gaussian, interlayer_norms
 from reslab.numkit import RngState
 
@@ -29,14 +29,8 @@ def report(num, name, ok, detail=""):
 
 def golden_dataset(seed):
     root = RngState(seed)
-    teacher = make_teacher(root.substream("teacher"), GOLDEN["d"], GOLDEN["M"],
-                           GOLDEN["gamma"])
-    return root, sample_dataset(teacher, root.substream("data"), GOLDEN["n"])
-
-
-def sphere(rng, count, d):
-    xs = rng.standard_normal((count, d))
-    return xs / np.linalg.norm(xs, axis=1, keepdims=True)
+    return root, make_dataset(root, GOLDEN["d"], GOLDEN["M"], GOLDEN["gamma"],
+                              GOLDEN["n"])
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +105,7 @@ def test_criterion_03_activation_norm_bounds():
     """Hidden-layer norms stay in [0.5, 1.5] at width 1024, depth 32."""
     rng = RngState(1003)
     params = init_gaussian(rng.substream("init"), 10, 32, 1024, 1024, 0.1 / 32)
-    xs = sphere(rng.substream("x"), 500, 10)
+    xs = unit_sphere_rows(rng.substream("x"), 500, 10)
     rep = probes.probe_activation_norms(params, xs, h_inputs=2)
     ok = (rep.verdict == "hold"
           and (rep.config["norm_low"], rep.config["norm_high"]) == (0.5, 1.5))
@@ -151,7 +145,7 @@ def test_criterion_06_flip_sparsity(m_sweep):
     f64, f256, f1024 = (m_sweep[m][1] for m in (64, 256, 1024))
     rng = RngState(1006)
     params = init_gaussian(rng.substream("init"), 10, 16, 1024, 1024, 0.1 / 16)
-    xs = sphere(rng.substream("x"), 10, 10)
+    xs = unit_sphere_rows(rng.substream("x"), 10, 10)
     rep = probes.probe_weight_lipschitz_and_flips(
         params, rng.substream("ball"), xs, (0.01, 0.03, 0.1, 0.3), draws=3)
     slope = rep.measured["flip_slope"]
@@ -188,7 +182,7 @@ def test_criterion_08_semismoothness():
     control_ok = True
     for m in (64, 256):
         params = init_gaussian(rng.substream(f"init/{m}"), 10, 16, m, m, 0.1 / 16)
-        xs = sphere(rng.substream(f"x/{m}"), 200, 10)
+        xs = unit_sphere_rows(rng.substream(f"x/{m}"), 200, 10)
         for tau in (0.03, 0.1, 0.3):
             rep = probes.probe_semismoothness(
                 params, rng.substream(f"ball/{m}/{tau}"), xs, tau=tau, draws=200)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reslab import cli, data, model
+from reslab import cli, data, model, probes
 from reslab.cli import main
 
 
@@ -106,8 +106,11 @@ class TestConfig:
         ("gen-data", "d", -1), ("gen-data", "d", 0), ("train", "d", -1), ("train", "d", 0),
         ("probe", "d", -1), ("probe", "d", 0), ("sweep", "d", -1), ("sweep", "d", 0),
         ("probe --probes activation_norms", "sparsity", 0), ("train", "steps_budget", 0),
-        # an integer past the float range passed for a number, then overflowed
-        pytest.param("train", "eta_scale", 10**400, id="train-eta_scale-10**400")])
+        # an integer past the float range passed for a number, then overflowed;
+        # a finite radius whose square overflows has no measurable ball
+        pytest.param("train", "eta_scale", 10**400, id="train-eta_scale-10**400"),
+        ("probe --probes rademacher", "ball_tau", 1e300),
+        ("probe --probes semismoothness", "ball_tau", 1e200)])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
         command, *flags = command.split()  # a case may name its probes
         out = str(tmp_path / "o")
@@ -274,6 +277,28 @@ class TestProbe:
         assert len(err) == 1 and err[0].startswith("usage error: ")
         assert problem in err[0]
         assert not (tmp_path / "o").exists()
+
+    def test_ball_probes_draw_from_their_own_streams(self, tmp_path, cfg_file,
+                                                     monkeypatch):
+        # sparse_output's draws were semismoothness's random draws, in order,
+        # when both probes took the root's "ball" substream
+        out = str(tmp_path / "run")
+        main(["gen-data", "--config", cfg_file, "--out", out])
+        firsts = []  # (ball, its first draw), holding each ball
+        draw = probes.PerturbationBall.draw
+
+        def recorded(ball):
+            drawn = draw(ball)
+            if not any(b is ball for b, _ in firsts):
+                firsts.append((ball, drawn))
+            return drawn
+
+        monkeypatch.setattr(probes.PerturbationBall, "draw", recorded)
+        assert main(["probe", "--config", cfg_file, "--out", out,
+                     "--probes", "semismoothness,sparse_output"]) == 0
+        assert len(firsts) == 2
+        (_, a), (_, b) = firsts
+        assert all(wa.tobytes() != wb.tobytes() for wa, wb in zip(a.weights, b.weights))
 
     def test_mismatched_checkpoint_exits_3(self, tmp_path, cfg_file):
         out = str(tmp_path / "run")

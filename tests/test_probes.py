@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from reslab import cli, lossgrad, model, numkit, probes, trainer
-from reslab.data import Teacher, make_teacher, sample_dataset
+from reslab.data import Teacher, make_teacher, sample_dataset, unit_sphere_rows
 from reslab.model import NetworkParams, forward_batch, init_gaussian, output_vector
 from reslab.numkit import RngState
 from reslab.probes import PerturbationBall
-
-
-def sphere(rng, count, d):
-    xs = rng.standard_normal((count, d))
-    return xs / np.linalg.norm(xs, axis=1, keepdims=True)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +82,19 @@ class TestPerturbationBall:
         ball = PerturbationBall(ones, tau, rng.substream("b3"))
         with pytest.raises(RuntimeError, match="exceeds tau"):
             ball.shifted([np.full(w1.shape, 1.5e-16)] + [None] * params.depth)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e200])
+    def test_place_returns_nan_for_a_difference_of_non_finite_norm(self, toy, entry):
+        # a diverged ascent step has no point of the ball: its layer comes
+        # back as NaN, which the ascent drops, and not as a finite point
+        # outside the ball (1e200 squared overflows the norm)
+        rng, _, _, params = toy
+        ball = PerturbationBall(params, 0.1, rng.substream("b4"))
+        w1 = params.weights[0]
+        with np.errstate(over="ignore"):
+            moved = ball.shifted([np.full(w1.shape, entry)] + [None] * params.depth)
+        assert np.isnan(moved.weights[0]).all()
+        assert all(a is b for a, b in zip(moved.weights[1:], params.weights[1:]))
 
 
 def _cell(text):
@@ -284,7 +292,7 @@ class TestActivationNormProbe:
         # the [0.5, 1.5] window needs enough width to concentrate
         rng = RngState(33)
         params = init_gaussian(rng.substream("init"), 6, 4, 256, 256, 0.1 / 4)
-        xs = sphere(rng.substream("xa"), 30, 6)
+        xs = unit_sphere_rows(rng.substream("xa"), 30, 6)
         rep = probes.probe_activation_norms(params, xs, h_inputs=2)
         assert rep.verdict == "hold"
         assert 0.5 <= rep.measured["xnorm_min"] <= rep.measured["xnorm_max"] <= 1.5
@@ -294,7 +302,7 @@ class TestActivationNormProbe:
         # at width 48 the per-layer norms spread beyond the window, and the
         # probe must say so
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xa"), 30, params.d)
+        xs = unit_sphere_rows(rng.substream("xa"), 30, params.d)
         rep = probes.probe_activation_norms(params, xs, h_inputs=1)
         assert rep.verdict == "violated"
         assert rep.measured["h_mid_max"] <= rep.bound_expr  # middle products still fine
@@ -311,7 +319,7 @@ class TestActivationNormProbe:
             return apply(*args)
 
         monkeypatch.setattr(model, "_factor_apply", counted)
-        xs = sphere(rng.substream("chain"), 3, params.d)
+        xs = unit_sphere_rows(rng.substream("chain"), 3, params.d)
         rep = probes.probe_activation_norms(params, xs, h_inputs=2)
         assert [r[1:3] for r in rep.details if r[0] == "hnorm"] == 2 * [
             [1, 4], [2, 3], [2, 4], [2, 5], [3, 4], [4, 4]]
@@ -335,7 +343,7 @@ class TestActivationNormProbe:
         for arch in ("residual", "plain"):
             params = init_gaussian(rng.substream(f"batch/{arch}"), 6, L, 48, 48,
                                    0.1 / L, arch)
-            xs = sphere(rng.substream(f"xb/{arch}"), 6, params.d)
+            xs = unit_sphere_rows(rng.substream(f"xb/{arch}"), 6, params.d)
             rep = probes.probe_activation_norms(params, xs, h_inputs=6)
             hnorms = [r[3] for r in rep.details if r[0] == "hnorm"]
             expected = [hn for x in xs for hn in one_row_norms(params, x, pairs)]
@@ -361,14 +369,14 @@ class TestActivationNormProbe:
 class TestInputLipschitz:
     def test_filters_coincident_pairs(self, toy):
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xl"), 8, params.d)
+        xs = unit_sphere_rows(rng.substream("xl"), 8, params.d)
         rep = probes.probe_input_lipschitz(params, (xs, xs.copy()))
         assert rep.trials == 0  # every pair filtered by the min-distance gate
 
     def test_fitted_constant_is_max_ratio(self, toy):
         rng, _, _, params = toy
-        a = sphere(rng.substream("xl1"), 20, params.d)
-        b = sphere(rng.substream("xl2"), 20, params.d)
+        a = unit_sphere_rows(rng.substream("xl1"), 20, params.d)
+        b = unit_sphere_rows(rng.substream("xl2"), 20, params.d)
         rep = probes.probe_input_lipschitz(params, (a, b))
         assert rep.verdict == "hold"
         bta, btb = forward_batch(params, a), forward_batch(params, b)
@@ -383,7 +391,7 @@ class TestInputLipschitz:
 class TestWeightLipschitzFlips:
     def test_coincident_weights_no_flips(self, toy):
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xf"), 5, params.d)
+        xs = unit_sphere_rows(rng.substream("xf"), 5, params.d)
         bt = forward_batch(params, xs)
         flips = sum(int(np.count_nonzero(bt.pattern(l) != bt.pattern(l)))
                     for l in range(1, params.depth + 2))
@@ -391,7 +399,7 @@ class TestWeightLipschitzFlips:
 
     def test_flip_counts_grow_with_radius(self, toy):
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xg"), 5, params.d)
+        xs = unit_sphere_rows(rng.substream("xg"), 5, params.d)
         rep = probes.probe_weight_lipschitz_and_flips(
             params, rng.substream("ballg"), xs, (0.01, 0.1, 0.5), draws=4)
         flips = [rep.measured["mean_flips_per_tau"][repr(t)] for t in (0.01, 0.1, 0.5)]
@@ -404,7 +412,7 @@ class TestWeightLipschitzFlips:
         # parameter sets, which holding the last pair through the next
         # draw exceeds (4.5 sets when it did)
         rng, params, size = deep
-        xs = sphere(rng.substream("xw"), 4, params.d)
+        xs = unit_sphere_rows(rng.substream("xw"), 4, params.d)
         rep, peak = traced_peak(lambda: probes.probe_weight_lipschitz_and_flips(
             params, rng.substream("bw"), xs, (0.1,), draws=3))
         assert rep.trials == 3
@@ -427,7 +435,7 @@ class TestWeightLipschitzFlips:
 class TestSemismoothness:
     def test_control_residual_exactly_zero(self, toy):
         rng, _, ds, params = toy
-        xs = sphere(rng.substream("xs"), 8, params.d)
+        xs = unit_sphere_rows(rng.substream("xs"), 8, params.d)
         rep = probes.probe_semismoothness(params, rng.substream("ssball"), xs,
                                           tau=0.1, draws=10, dataset=ds)
         assert rep.measured["control_residual"] <= 1e-12
@@ -439,7 +447,7 @@ class TestSemismoothness:
         # trial points need only their loss: the one loss gradient is the
         # center's
         rng, _, ds, params = toy
-        xs = sphere(rng.substream("xs"), 4, params.d)
+        xs = unit_sphere_rows(rng.substream("xs"), 4, params.d)
         calls = []
         grad = lossgrad.batch_output_grad
 
@@ -457,7 +465,7 @@ class TestSemismoothness:
         # revisit them: the center's one-row forward pass and backward rows
         # are formed once for each of the 4 inputs
         rng, _, ds, params = toy
-        xs = sphere(rng.substream("xs"), 4, params.d)
+        xs = unit_sphere_rows(rng.substream("xs"), 4, params.d)
         passes, rows = [], []
         fwd, back = probes.forward_batch, lossgrad._backward_rows
 
@@ -485,7 +493,7 @@ class TestSemismoothness:
         rng, params, size = deep
         teacher = make_teacher(rng.substream("t"), params.d, 32, 0.05)
         ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
-        xs = sphere(rng.substream("xm"), 4, params.d)
+        xs = unit_sphere_rows(rng.substream("xm"), 4, params.d)
         rep, peak = traced_peak(lambda: probes.probe_semismoothness(
             params, rng.substream("bm"), xs, tau=0.1, draws=4, dataset=ds))
         assert rep.measured["control_residual"] == 0.0
@@ -498,7 +506,7 @@ class TestSemismoothness:
         # over a list of all 17 differences
         rng, _, ds, params = toy
         params = replace(params, arch=arch)
-        xs = sphere(rng.substream("xt"), 3, params.d)
+        xs = unit_sphere_rows(rng.substream("xt"), 3, params.d)
         tau, draws = 0.1, 4
         rep = probes.probe_semismoothness(params, rng.substream("bt"), xs,
                                           tau=tau, draws=draws, dataset=ds)
@@ -531,7 +539,7 @@ class TestSemismoothness:
 
     def test_targeted_pairs_stay_in_ball(self, toy):
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xs"), 8, params.d)
+        xs = unit_sphere_rows(rng.substream("xs"), 8, params.d)
         for tau in (0.0, 0.001, 0.01, 0.1):
             ball = PerturbationBall(params, tau, rng.substream("ssball"))
             for x in xs:
@@ -551,7 +559,7 @@ class TestSemismoothness:
 
     def test_targeted_pairs_flip_where_random_draws_do_not(self, toy, tmp_path):
         rng, _, ds, params = toy
-        xs = sphere(rng.substream("xs"), 8, params.d)
+        xs = unit_sphere_rows(rng.substream("xs"), 8, params.d)
         rep = probes.probe_semismoothness(params, rng.substream("ssball"), xs,
                                           tau=0.01, draws=16, dataset=ds)
         random = [r for r in rep.details if r[1] == "random"]
@@ -661,7 +669,7 @@ class TestSeparability:
 class TestThresholdIndices:
     def test_counts_monotone_in_beta(self, toy):
         rng, _, _, params = toy
-        xs = sphere(rng.substream("xt"), 20, params.d)
+        xs = unit_sphere_rows(rng.substream("xt"), 20, params.d)
         rep = probes.probe_threshold_indices(params, xs, (0.0, 0.01, 0.1, 0.5))
         by_beta = {}
         for beta, l, cmax, cmean, basis in rep.details:
@@ -677,7 +685,7 @@ class TestThresholdIndices:
         fractions = []
         for m in (64, 256):
             params = init_gaussian(rng.substream(f"i{m}"), 8, 3, m, m, 0.1 / 3)
-            xs = sphere(rng.substream(f"x{m}"), 30, 8)
+            xs = unit_sphere_rows(rng.substream(f"x{m}"), 30, 8)
             beta = m ** -0.5
             rep = probes.probe_threshold_indices(params, xs, (beta,))
             mean_count = np.mean([row[3] for row in rep.details])
@@ -688,7 +696,7 @@ class TestThresholdIndices:
 class TestSparseOutput:
     def test_zero_direction_maps_to_zero(self, toy):
         rng, _, _, params = toy
-        tr = forward_batch(params, sphere(rng.substream("xsp"), 1, params.d))
+        tr = forward_batch(params, unit_sphere_rows(rng.substream("xsp"), 1, params.d))
         for _, g, _ in lossgrad._backward_rows(params, tr):
             assert float(g[0] @ np.zeros(params.m)) == 0.0
 
@@ -865,22 +873,32 @@ class TestRademacher:
             assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def stepped_and_clipped(iterate, center, grads, step_size, tau):
-        # w0 + clip(w + step_size * g - w0) into the per-layer tau-ball
+    def stepped_and_placed(iterate, center, grads, step_size, tau):
+        # PerturbationBall._place's recurrence restated: w0 + d, with
+        # d = (w + step_size * g) - w0, and its stored difference shrunk
+        # radially, first by tau / norm with a 1e-12 margin, until it lies
+        # within the per-layer tau-ball
         want = []
         for w, w0, g in zip(iterate.weights, center.weights, grads.layers):
-            delta = (w + g * step_size) - w0
-            norm = numkit.frobenius_norm(delta)
-            if norm > tau:
-                delta = delta * (tau / norm) if tau > 0 else np.zeros_like(delta)
-            want.append(w0 + delta)
+            placed = w0 + ((w + g * step_size) - w0)
+            margin = 1e-12
+            for k in range(8):
+                stored = placed - w0
+                norm = numkit.frobenius_norm(stored)
+                if norm <= tau:
+                    break
+                if k:
+                    margin = min(probes._MAX_SHRINK, 2.0 * (margin + (norm - tau) / tau))
+                placed = w0 + stored * (tau / norm) * (1.0 - margin)
+            assert numkit.frobenius_norm(placed - w0) <= tau
+            want.append(placed)
         return want
 
     @pytest.mark.parametrize("tau", [0.0, 0.05, 3.0, 10.0])
     def test_projection_bits_match_clip_formula(self, toy, tau):
         # a step from an iterate other than the center is written into the
-        # iterate's own buffers and projected layer by layer: bit for bit
-        # w0 + clip(w + s * g - w0), with the center untouched
+        # iterate's own buffers and placed layer by layer: bit for bit
+        # _place's recurrence on w + s * g, with the center untouched
         rng, _, ds, params = toy
         moved = params.with_weights(
             w + 0.1 * rng.substream(f"proj/{l}").standard_normal(w.shape)
@@ -888,9 +906,10 @@ class TestRademacher:
         bt = forward_batch(moved, ds.xs)
         xi = rng.substream("step").signs(ds.n) / ds.n
         grads = lossgrad.batch_output_grad(moved, bt, xi)
-        want = self.stepped_and_clipped(moved, params, grads, 0.5, tau)
+        want = self.stepped_and_placed(moved, params, grads, 0.5, tau)
         center = [w.tobytes() for w in params.weights]
-        got = probes._ascent_step(moved, params, tau, bt, xi, 0.5)
+        ball = PerturbationBall(params, tau, rng.substream("unused"))
+        got = probes._ascent_step(moved, ball, bt, xi, 0.5)
         assert all(a is b for a, b in zip(got.weights, moved.weights))
         assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
         assert [w.tobytes() for w in params.weights] == center
@@ -901,12 +920,55 @@ class TestRademacher:
         bt = forward_batch(params, ds.xs)
         xi = rng.substream("step").signs(ds.n) / ds.n
         grads = lossgrad.batch_output_grad(params, bt, xi)
-        want = self.stepped_and_clipped(params, params, grads, 0.01, 0.05)
+        want = self.stepped_and_placed(params, params, grads, 0.01, 0.05)
         center = [w.tobytes() for w in params.weights]
-        got = probes._ascent_step(params, params, 0.05, bt, xi, 0.01)
+        ball = PerturbationBall(params, 0.05, rng.substream("unused"))
+        got = probes._ascent_step(params, ball, bt, xi, 0.01)
         assert not any(a is b for a, b in zip(got.weights, params.weights))
         assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want]
         assert [w.tobytes() for w in params.weights] == center
+
+    def test_every_iterate_lies_in_the_ball(self, toy, monkeypatch):
+        # every layer an ascent step returns is within tau of the center, as
+        # numkit measures it; w0 + d * tau / ||d||, whose two roundings can
+        # land an ulp outside, left 10 of these 300 layers outside
+        rng, _, ds, params = toy
+        tau = 0.1
+        norms = []
+        step = probes._ascent_step
+
+        def checked(*args):
+            got = step(*args)
+            norms.extend(numkit.frobenius_norm(w - w0)
+                         for w, w0 in zip(got.weights, params.weights))
+            return got
+
+        monkeypatch.setattr(probes, "_ascent_step", checked)
+        rep = probes.rademacher_estimate(params, tau, ds, rng.substream("rb"),
+                                         xi_draws=3, ascent_steps=20)
+        assert rep.measured["dropped"] == 0
+        assert len(norms) == 3 * 20 * (params.depth + 1)
+        assert sum(norm > tau for norm in norms) == 0
+
+    def test_diverging_ascent_drops_its_draws(self, toy):
+        # at this radius the outputs overflow within a few steps: each draw
+        # is dropped and counted, not raised
+        rng, _, ds, params = toy
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = probes.rademacher_estimate(params, 1e100, ds, rng.substream("rd"),
+                                             xi_draws=3, ascent_steps=6)
+        assert rep.measured["dropped"] == 3
+        assert rep.details == [] and rep.verdict == probes.VERDICT_VIOLATED
+
+    @pytest.mark.parametrize("tau, problem", [(-0.1, "nonnegative"),
+                                              (1e200, "squared overflows")])
+    def test_radius_the_ball_refuses_raises(self, toy, tau, problem):
+        # 1e200 overflowed every step's norm, which scaled each step to
+        # zero: the ascent stayed at the center and reported 0.0, a hold
+        rng, _, ds, params = toy
+        with pytest.raises(ValueError, match=problem):
+            probes.rademacher_estimate(params, tau, ds, rng.substream("rn"),
+                                       xi_draws=2, ascent_steps=3)
 
     def test_ascent_holds_few_parameter_sets(self, traced_peak):
         # each layer is stepped and projected as it leaves the gradient
