@@ -5,24 +5,27 @@ The gradient of the network output with respect to layer l is rank one,
     grad_{W_l} f(x) = s_l * outer(x_{l-1}, g_l ⊙ sigma_l),
     g_l = vᵀ H_{l+1}^{L+1},   s_l = theta on layers 2..L, 1 at the ends,
 
-so batch gradients are sums of rank-one terms, accumulated here by a single
-matmul per layer in fixed sample order.  The backward recursion is one
-stream that hands out each masked row block g_l ⊙ sigma_l as it forms it,
-so a block serves the recursion and its layer's product and is dropped.
-On it sits the gradient stream, which hands out each dense layer gradient
-once the recursion has read that layer's weight: a GD or ascent step
-finishes each layer as it arrives (its norms, then its update, which may
-be written over the weight) and holds no gradient set.
-``batch_output_grad`` keeps the stream's layers for the callers that need
-them all.  The spectral norms behind ``h_k`` are taken on the layers by
-the lab's one spectral-norm routine, ``numkit.spectral_norm``.  The loss, the
-surrogate loss and the 0-1 error are defined here once, as functions of
-the network outputs, so a caller that needs no gradient needs no trace
-(``model.forward_outputs``).  A central
-finite-difference oracle, which reports entries whose probes flip an
-activation pattern (the output is only piecewise linear in each weight),
-provides the independent check, and ``gradient_check`` is the one gate
-built on it, run on the gradient stream itself.
+so batch gradients are sums of rank-one terms, accumulated here by a
+single matmul per layer in fixed sample order.  The backward recursion is
+one stream that hands out each masked row block g_l ⊙ sigma_l as it forms
+it, so a block serves the recursion and its layer's product and is
+dropped.  On it sits the gradient stream, which hands out each dense layer
+gradient once the recursion has read that layer's weight: a GD or ascent
+step finishes each layer as it arrives (its norms, then its update, which
+may be written over the weight) and holds no gradient set.  The stream
+drops its references to each trace layer, x_{l-1} and sigma_l, once layer
+l's gradient is formed: a trace its caller keeps stays whole, and one
+handed over, as ``loss_grad`` hands over the trace it forms, is freed as
+the gradient grows.  ``batch_output_grad`` and ``loss_grad`` keep the
+stream's layers for the callers that need them all.  The spectral norms
+behind ``h_k`` are taken on the layers by the lab's one spectral-norm
+routine, ``numkit.spectral_norm``.  The loss, the surrogate loss and the
+0-1 error are defined here once, as functions of the network outputs, so a
+caller that needs no gradient needs no trace (``model.forward_outputs``).
+A central finite-difference oracle, which reports entries whose probes
+flip an activation pattern (the output is only piecewise linear in each
+weight), provides the independent check, and ``gradient_check`` is the one
+gate built on it, run on the gradient stream itself.
 """
 
 from __future__ import annotations
@@ -76,10 +79,13 @@ class GradientSet:
 def _backward_rows(params: NetworkParams, bt: BatchTrace):
     """Yields (l, g_l, g_l ⊙ sigma_l) for l = L+1 down to 1, with g_l =
     vᵀ H_{l+1}^{L+1} the per-sample backward rows; the last item carries
-    the unmasked g_1."""
-    g = np.broadcast_to(params.v, (bt.n, params.m_last))
+    the unmasked g_1.  The stream drops its reference to sigma_l once its
+    block is formed, and to the trace before it forms the first."""
+    n, patterns = bt.n, list(bt.patterns)
+    del bt  # a trace no caller holds is freed layer by layer
+    g = np.broadcast_to(params.v, (n, params.m_last))
     for l in range(params.depth + 1, 0, -1):
-        masked = g * bt.pattern(l)
+        masked = g * patterns.pop()
         yield l, g, masked
         if l > 1:
             back = masked @ params.weights[l - 1].T
@@ -91,13 +97,19 @@ def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
     """The gradient stream: yields (l, G_l) for l = L+1 down to 1, G_l =
     sum_i weights_i grad_{W_l} f(x_i), each in a fresh buffer the caller
     owns.  Layer l is yielded only once the backward pass has taken its
-    back product with W_l, so the caller may overwrite W_l as it arrives."""
+    back product with W_l, so the caller may overwrite W_l as it arrives.
+    The stream drops its references to x_{l-1} and sigma_l once G_l is
+    formed, so a trace handed over with no other holder (``loss_grad``)
+    shrinks as the gradient grows; a trace the caller keeps is untouched."""
     w = np.asarray(weights, dtype=np.float64)
+    inputs = list(bt.activations[:-1])  # x_0 .. x_L, popped from the top
+    rows = _backward_rows(params, bt)
+    del bt
     done = []  # the layer above, held until its back product is taken
-    for l, _, masked in _backward_rows(params, bt):
+    for l, _, masked in rows:
         if done:
             yield done.pop()  # W_{l+1} has been read
-        a = w[:, None] * bt.activations[l - 1]
+        a = w[:, None] * inputs.pop()
         if params.skip(l):  # the layer scale; 1.0 * a would be a, bit for bit
             a *= params.theta
         done.append((l, a.T @ masked))
@@ -105,14 +117,19 @@ def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
     yield done.pop()
 
 
+def _kept(params: NetworkParams, stream) -> GradientSet:
+    """The gradient stream's layers, each at its layer's place."""
+    layers = [None] * (params.depth + 1)
+    for l, g in stream:
+        layers[l - 1] = g
+    return GradientSet(tuple(layers))
+
+
 def batch_output_grad(params: NetworkParams, bt: BatchTrace,
                       weights: np.ndarray) -> GradientSet:
     """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i),
     the gradient stream's layers kept."""
-    layers = [None] * (params.depth + 1)
-    for l, g in _layer_gradients(params, bt, weights):
-        layers[l - 1] = g
-    return GradientSet(tuple(layers))
+    return _kept(params, _layer_gradients(params, bt, weights))
 
 
 def empirical_loss(outputs: np.ndarray, ys: np.ndarray) -> float:
@@ -159,11 +176,16 @@ def loss_terms(outputs: np.ndarray, ys: np.ndarray) -> tuple:
     return loss, value, -terms * ys / outputs.shape[0]
 
 
-def loss_grad_from_trace(params: NetworkParams, bt: BatchTrace, ys: np.ndarray):
-    """Loss, surrogate, and loss gradient reusing an existing forward trace:
-    ``loss_terms`` weighting the one ``batch_output_grad``."""
+def loss_grad(params: NetworkParams, xs: np.ndarray, ys: np.ndarray):
+    """Loss, surrogate, and loss gradient at the batch ``xs``: ``loss_terms``
+    weighting the gradient stream, kept as a ``GradientSet``.  The forward
+    trace is formed here and handed to the stream, which alone holds it, so
+    the trace is freed layer by layer as the gradient is formed."""
+    bt = forward_batch(params, xs)
     loss, value, weights = loss_terms(bt.outputs, ys)
-    return loss, value, batch_output_grad(params, bt, weights)
+    stream = _layer_gradients(params, bt, weights)
+    del bt
+    return loss, value, _kept(params, stream)
 
 
 def _perturbed(params: NetworkParams, l: int, i: int, j: int, delta: float) -> NetworkParams:

@@ -14,7 +14,9 @@ Forward evaluation is one stream over the layers that hands out each
 layer's activations with its binary activation pattern sigma_l(x) (bit j
 set iff the pre-activation of unit j is strictly positive).  A trace keeps
 every layer; a caller that reads only outputs, or one layer at a time,
-holds two.  ``interlayer_norms`` takes the spectral norms of the
+holds two.  One layer's step, ``_forward_step``, is the forward arithmetic,
+and a caller whose weights arrive one layer at a time runs it itself.
+``interlayer_norms`` takes the spectral norms of the
 frozen-pattern interlayer operators H_l^{l'}, the linearization the
 patterns define from layer l to layer l'.  Their rows vᵀ H_l^{L+1} are
 ``lossgrad``'s backward rows.  Checkpoint files keep their fields, layer
@@ -179,13 +181,27 @@ class BatchTrace:
         return self.patterns[l - 1]
 
 
+def _forward_step(params: NetworkParams, l: int, h: np.ndarray, w: np.ndarray) -> tuple:
+    """One layer of the forward pass: (x_l, sigma_l) from h = x_{l-1} and
+    ``w``, layer l's weight, with ``params``' skip rule and theta.  x_l is
+    formed in the buffer of its own pre-activations and sigma_l is their
+    strict pattern."""
+    pre = h @ w
+    pat = pre > 0.0  # strict: ties at exactly zero count as inactive
+    np.maximum(pre, 0.0, out=pre)
+    pre += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
+    if params.skip(l):
+        pre *= params.theta
+        pre += h  # h + theta * relu(pre), bit for bit: + and * commute
+    return pre, pat
+
+
 def _forward_layers(params: NetworkParams, xs: np.ndarray):
     """The forward stream: yields (l, x_l, sigma_l) for l = 0..L+1, x_0 the
-    checked inputs (with no pattern, None) and sigma_l the strict pattern of
-    layer l's pre-activations.  Each layer is formed in the buffer of its
-    own pre-activations and nothing is written after it is yielded, so a
-    caller that keeps every item holds a trace and one that keeps none
-    holds two layers."""
+    checked inputs (with no pattern, None) and the rest from
+    ``_forward_step``.  Nothing is written after it is yielded, so a caller
+    that keeps every item holds a trace and one that keeps none holds two
+    layers."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[1] != params.d:
         raise ShapeError(f"inputs have dim {xs.shape[1]}, network expects {params.d}")
@@ -193,14 +209,7 @@ def _forward_layers(params: NetworkParams, xs: np.ndarray):
     yield 0, xs, None
     h = xs
     for l in range(1, params.depth + 2):
-        pre = h @ params.weights[l - 1]
-        pat = pre > 0.0  # strict: ties at exactly zero count as inactive
-        np.maximum(pre, 0.0, out=pre)
-        pre += 0.0  # -0.0 becomes +0.0; a NaN pre-activation stays NaN
-        if params.skip(l):
-            pre *= params.theta
-            pre += h  # h + theta * relu(pre), bit for bit: + and * commute
-        h = pre
+        h, pat = _forward_step(params, l, h, params.weights[l - 1])
         yield l, h, pat
 
 

@@ -17,15 +17,21 @@ the same rows, in ``weight_lipschitz_flips``, ``threshold_indices`` and
 Every point a probe puts in a tau-ball, a draw, a targeted pair or an
 ascent iterate, is placed there by one projection,
 ``PerturbationBall._place``, so each layer lies within tau of the center
-as ``numkit.frobenius_norm`` measures it.  Ball probes hold one draw at a
-time: each draw or pair, and every trace that pins it, is dropped before
-the next is made.  Probes that read only outputs, or one layer at a time,
-take them from ``model.forward_outputs`` or the forward stream and hold no
-trace.  The Rademacher ascent steps and places each layer as it leaves
-``lossgrad``'s gradient stream, writing into the iterate's own buffers
-from its second step on.  It holds one trace at a time: the center's is
-formed for a draw's first step and again for its linearization gap, which
-forms each layer's step as the center's backward rows reach it.
+as ``numkit.frobenius_norm`` measures it.  ``PerturbationBall.layers``
+makes a draw one layer at a time, in ``draw``'s order.  The
+weight-Lipschitz pairs' second draw and semismoothness's random draws come
+from it: each layer serves its terms and its forward step
+(``model._forward_step``) and is dropped before the next is made.  A probe
+whose backward pass reads a draw's layers in reverse (``sparse_output``,
+the semismoothness control) holds one whole draw.  Each draw or pair, and
+every trace that pins it, is dropped before the next is made.  Probes that
+read only outputs, or one layer at a time, take them from
+``model.forward_outputs`` or the forward stream and hold no trace.  The
+Rademacher ascent steps and places each layer as it leaves ``lossgrad``'s
+gradient stream, writing into the iterate's own buffers from its second
+step on.  It holds one trace at a time: the center's is formed for a
+draw's first step and again for its linearization gap, which forms each
+layer's step as the center's backward rows reach it.
 
 Reports serialize to ``<name>.report.json`` plus ``<name>.details.csv``.
 A report's fit, bound, verdict and measured values are recomputable from
@@ -47,8 +53,8 @@ import numpy as np
 
 from . import lossgrad, numkit, trainer
 from .data import MarginDataset, Teacher, make_dataset, write_csv, write_json
-from .model import (ConfigError, NetworkParams, _forward_layers, forward_batch,
-                    forward_outputs, init_gaussian, interlayer_norms)
+from .model import (ConfigError, NetworkParams, _forward_layers, _forward_step,
+                    forward_batch, forward_outputs, init_gaussian, interlayer_norms)
 from .numkit import RngState
 
 VERDICT_HOLD = "hold"
@@ -137,11 +143,14 @@ class PerturbationBall:
         if not math.isfinite(self.tau * self.tau):  # its norms would overflow
             raise ConfigError(f"radius {self.tau!r} squared overflows")
 
-    def draw(self) -> NetworkParams:
-        new = []
-        for w in self.center.weights:
+    def layers(self):
+        """The layer stream of one draw: yields (l, W_l) for l = 1..L+1,
+        each layer drawn and placed in the ball as it is asked for, in the
+        order ``draw`` takes them.  The stream keeps no layer it has handed
+        out, so a caller that drops each one holds a single layer."""
+        for l, w in enumerate(self.center.weights, 1):
             if self.tau == 0.0:
-                new.append(w)
+                yield l, w
                 continue
             direction = self.rng.standard_normal(w.shape)
             norm = numkit.frobenius_norm(direction)
@@ -149,8 +158,12 @@ class PerturbationBall:
             if self.rng.uniform() >= BOUNDARY_FRACTION:
                 radius = self.tau * (1.0 - float(self.rng.uniform()))  # in (0, tau]
             direction *= radius / norm
-            new.append(self._place(w, direction))
-        return self.center.with_weights(new)
+            yield l, self._place(w, direction)
+            del direction  # the placed layer, now held by the caller alone
+
+    def draw(self) -> NetworkParams:
+        """One whole draw: every layer of the layer stream, kept."""
+        return self.center.with_weights([w for _, w in self.layers()])
 
     def shifted(self, deltas) -> NetworkParams:
         """The center moved by ``deltas`` (one per layer, None for no move),
@@ -288,8 +301,9 @@ def probe_input_lipschitz(params: NetworkParams, pairs) -> ProbeReport:
 # weight-Lipschitz + activation-flip sparsity over a radius grid
 # ---------------------------------------------------------------------------
 
-def _layered_weight_basis(params, wa, wb):
-    """Per-layer accumulations of spectral weight differences.
+def _layered_weight_basis(params, d_spec):
+    """Per-layer accumulations of the spectral norms ``d_spec`` of a pair's
+    weight differences, d_spec[l-1] = ||d_l||.
 
     basis[l] corresponds to the bound for ||x^a_l - x^b_l||: layer 1 uses
     ||d_1||, layers 2..L add s * sum_{r=2..l} ||d_r|| with s their common
@@ -297,7 +311,6 @@ def _layered_weight_basis(params, wa, wb):
     output layer adds ||d_{L+1}||, so basis[L+1] is the step distance.
     """
     L = params.depth
-    d_spec = [numkit.spectral_norm(a - b) for a, b in zip(wa, wb)]
     basis = [0.0] * (L + 2)
     basis[1] = d_spec[0]
     run = 0.0
@@ -317,6 +330,12 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
     s the middle layers' scale (``_layered_weight_basis``),
     and (b) fits C3 in  flips_l <= C3 * m_l * tau^(2/3), plus the log-log
     slope of mean flips against tau (theory predicts exponent 2/3).
+
+    A pair's Wa is drawn whole and its trace kept; Wb comes from the ball's
+    layer stream, and each of its layers serves the spectral norm of
+    Wa_l - Wb_l, its forward step and that layer's row before it and Wa_l
+    are dropped.  The rows' basis is filled in once the pair's norms are
+    all taken.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     L = params.depth
@@ -325,18 +344,21 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
         ball = PerturbationBall(params, tau, rng.substream(f"ball/{tau}"))
         for t in range(draws):
             wa = ball.draw()
-            wb = ball.draw()
-            basis = _layered_weight_basis(params, wa.weights, wb.weights)
-            bta = forward_batch(wa, xs)
-            btb = forward_batch(wb, xs)
-            for l in range(1, L + 2):
-                dist = float(np.max(np.linalg.norm(
-                    bta.activations[l] - btb.activations[l], axis=1)))
-                flips = int(np.max(np.count_nonzero(
-                    bta.pattern(l) != btb.pattern(l), axis=1)))
-                rows.append([tau, t, l, dist, basis[l], flips,
-                             params.widths[l - 1] * tau ** (2.0 / 3.0)])
-            del wa, wb, bta, btb  # the next pair is drawn with this one gone
+            trace_a = list(_forward_layers(wa, xs))  # its items hold no weight
+            wa = list(wa.weights)  # each layer let go once its row is written
+            h, norms, measured = trace_a[0][1], [], []
+            for l, wb in ball.layers():
+                wa_l, wa[l - 1] = wa[l - 1], None
+                norms.append(numkit.spectral_norm(wa_l - wb))
+                h, pattern = _forward_step(params, l, h, wb)
+                _, xa, pa = trace_a[l]
+                measured.append((float(np.max(np.linalg.norm(xa - h, axis=1))),
+                                 int(np.max(np.count_nonzero(pa != pattern, axis=1)))))
+                del wa_l, wb  # the next layer is drawn with this one gone
+            basis = _layered_weight_basis(params, norms)
+            rows += [[tau, t, l, dist, basis[l], flips,
+                      params.widths[l - 1] * tau ** (2.0 / 3.0)]
+                     for l, (dist, flips) in enumerate(measured, 1)]
 
     mean_flips = [float(np.mean([r[5] for r in rows if r[0] == tau])) for tau in tau_grid]
     slope = _loglog_slope(tau_grid, mean_flips)  # over grid cells with any flips
@@ -445,14 +467,16 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     per input and serve both kinds of trial.  With a dataset, the
     loss-level residual is additionally fitted against the
     surrogate-weighted variant with an m h² second term.  That needs the
-    loss gradient only at the center, one ``batch_output_grad``; each Wa
-    costs only ``model.forward_outputs`` and ``lossgrad.empirical_loss``.
-    A trial forms each layer difference Wa_l - Wb_l once, in layer order,
-    and takes its share of h, of the linear term and of the loss term from
-    it before forming the next; one draw is held at a time.  Each details
-    row records the pair kind and the layer-1 units flipped at its input.
-    A coincident-pair control, drawn once the center's loss gradient is
-    released, asserts R == 0 exactly.
+    loss gradient only at the center, one ``lossgrad.loss_grad``, whose
+    trace only the gradient stream holds; each Wa costs only its forward
+    steps and ``lossgrad.empirical_loss``.  A trial takes Wa one layer at a
+    time, from the ball's layer stream for a random pair, and forms each
+    difference Wa_l - Wb_l once, in layer order: its share of h, of the
+    linear term and of the loss term, then the layer's forward step at the
+    input and over the dataset, and the layer is dropped before the next is
+    made.  Each details row records the pair kind and the layer-1 units
+    flipped at its input.  A coincident-pair control, drawn whole once the
+    center's loss gradient is released, asserts R == 0 exactly.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     m = params.m
@@ -461,34 +485,37 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
     gb = None
     if dataset is not None:
         ys = dataset.ys
-        lb, sb, gb = lossgrad.loss_grad_from_trace(
-            params, forward_batch(params, dataset.xs), ys)
+        lb, sb, gb = lossgrad.loss_grad(params, dataset.xs, ys)
     # one-row passes, not one batched pass: a gemm may round unlike a gemv
     centers = []
     for x in xs[:draws]:
         bt = forward_batch(params, x[None, :])
-        centers.append((bt, list(lossgrad._backward_rows(params, bt))))
+        centers.append((bt, list(lossgrad._backward_rows(params, bt))[::-1]))
     rows = []
 
-    def trial(kind, wa, i):
-        btb, center_rows = centers[i]
+    def trial(kind, layers, i):
+        btb, center_rows = centers[i]  # center_rows[l - 1]: layer l's row
         lin, lin_loss, norms = np.zeros(btb.n), 0, []
-        for (l, _, masked), w, w0 in zip(reversed(center_rows), wa.weights,
-                                         params.weights):
-            d = w - w0  # serves h, lin and lin_loss, then goes
+        x, xd = btb.activations[0], None if dataset is None else dataset.xs
+        for l, w in layers:
+            d = w - params.weights[l - 1]  # serves h, lin and lin_loss, then goes
             norms.append(numkit.spectral_norm(d))
-            lin = lin + _linear_term(params, btb, l, masked, d)
+            lin = lin + _linear_term(params, btb, l, center_rows[l - 1][2], d)
             if gb is not None:
                 lin_loss += float(np.sum(d * gb.layers[l - 1]))
             del d
+            x, pattern = _forward_step(params, l, x, w)
+            if l == 1:
+                flips = int(np.count_nonzero(pattern != btb.pattern(1)))
+            if xd is not None:  # the dataset's rows, checked by loss_grad
+                xd, _ = _forward_step(params, l, xd, w)
+            del w, pattern  # the next layer is made with this one gone
         h = trainer.step_distance(params, norms)
-        bta = forward_batch(wa, xs[i][None, :])
-        resid = float(bta.outputs[0] - btb.outputs[0] - lin[0])
-        flips = int(np.count_nonzero(bta.pattern(1) != btb.pattern(1)))
+        resid = float((x @ params.v)[0] - btb.outputs[0] - lin[0])
         basis_f = coef_h * h + math.sqrt(m) * h * h
         loss_ratio = float("nan")
         if dataset is not None:
-            la = lossgrad.empirical_loss(forward_outputs(wa, dataset.xs), ys)
+            la = lossgrad.empirical_loss(xd @ params.v, ys)
             r_loss = la - lb - lin_loss
             basis_loss = coef_h * h * sb + m * h * h
             if basis_loss > 0:
@@ -496,9 +523,10 @@ def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,
         rows.append([len(rows), kind, flips, h, resid, basis_f, loss_ratio])
 
     for t in range(draws):
-        trial("random", ball.draw(), t % xs.shape[0])
-    for i, (_, center_rows) in enumerate(centers):  # last row: unmasked g_1
-        trial("targeted", flip_targeted_draw(ball, xs[i], center_rows[-1][1][0]), i)
+        trial("random", ball.layers(), t % xs.shape[0])
+    for i, (_, center_rows) in enumerate(centers):  # first row: unmasked g_1
+        trial("targeted", enumerate(flip_targeted_draw(
+            ball, xs[i], center_rows[0][1][0]).weights, 1), i)
 
     fit_f, _ = _fit(rows, 4, 5, empty=-np.inf)
     ratios_loss = [r[6] for r in rows if not math.isnan(r[6])]

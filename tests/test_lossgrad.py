@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reslab import lossgrad, model, numkit
-from reslab.lossgrad import (batch_output_grad, finite_diff_oracle, loss_grad_from_trace,
-                             xent, xent_deriv)
+from reslab.lossgrad import (batch_output_grad, finite_diff_oracle, loss_grad, xent,
+                             xent_deriv)
 from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
 
@@ -25,8 +25,12 @@ def output_gradients(p, t):
     return dict(lossgrad._layer_gradients(p, t, np.ones(1)))
 
 
-def loss_grad(p, xs, ys):
-    return loss_grad_from_trace(p, forward_batch(p, xs), ys)
+def held_loss_grad(p, xs, ys):
+    """The loss gradient on a trace the caller keeps: ``loss_terms``
+    weighting ``batch_output_grad``."""
+    bt = forward_batch(p, xs)
+    loss, value, weights = lossgrad.loss_terms(bt.outputs, ys)
+    return loss, value, batch_output_grad(p, bt, weights)
 
 
 def net(seed=0, d=4, L=6, m=16, m_last=16, arch="residual"):
@@ -264,7 +268,7 @@ class TestBatchLossGrad:
             xs, ys = self.make_data(p, 40, seed=92)
             bt = forward_batch(p, xs)
             alone = lossgrad.empirical_loss(bt.outputs, ys)
-            loss, _, _ = lossgrad.loss_grad_from_trace(p, bt, ys)
+            loss, _, _ = loss_grad(p, xs, ys)
             assert alone.hex() == loss.hex()
             want = numkit.pairwise_sum(xent(ys * bt.outputs)) / 40
             assert alone.hex() == want.hex()
@@ -312,6 +316,33 @@ class TestBatchLossGrad:
         w = RngState(94).standard_normal(50)
         grads, peak = traced_peak(lambda: batch_output_grad(p, bt, w))
         assert peak - sum(g.nbytes for g in grads.layers) <= 6 * 50 * 64 * 8
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_handed_over_trace_matches_a_held_one(self, arch):
+        # loss_grad hands the trace it forms to the gradient stream: its
+        # loss, surrogate and every layer are bit for bit those taken on a
+        # trace the caller keeps
+        p = net(18, L=5, m=32, m_last=24, arch=arch)
+        xs, ys = self.make_data(p, 40, seed=97)
+        loss, value, grads = loss_grad(p, xs, ys)
+        want_loss, want_value, want = held_loss_grad(p, xs, ys)
+        assert [loss.hex(), value.hex()] == [want_loss.hex(), want_value.hex()]
+        assert [g.tobytes() for g in grads.layers] == [g.tobytes() for g in want.layers]
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_handed_over_trace_is_freed_as_the_gradient_grows(self, arch, traced_peak):
+        # the stream drops each trace layer once its gradient is formed, so
+        # a trace (0.92 of the gradient set here) that only the stream holds
+        # shrinks as the gradient grows: beyond the returned layers the
+        # peak stays within the stream's own six n x m row blocks (5.1
+        # measured).  On a trace the caller keeps, the same gradient holds
+        # both (24.3 blocks measured)
+        p = net(12, d=10, L=16, m=64, m_last=64, arch=arch)
+        xs, ys = self.make_data(p, 50, seed=93)
+        bound = 6 * 50 * 64 * 8
+        for run, within in ((loss_grad, True), (held_loss_grad, False)):
+            (_, _, grads), peak = traced_peak(lambda: run(p, xs, ys))
+            assert (peak - sum(g.nbytes for g in grads.layers) <= bound) == within
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_stream_yields_a_layer_once_its_weight_is_read(self, arch):

@@ -9,8 +9,8 @@ import pytest
 
 from reslab import numkit, trainer
 from reslab.data import make_dataset
-from reslab.lossgrad import loss_grad_from_trace
-from reslab.model import forward_batch, init_gaussian
+from reslab.lossgrad import loss_grad
+from reslab.model import init_gaussian
 from reslab.numkit import RngState
 from reslab.probes import PerturbationBall
 
@@ -334,7 +334,7 @@ class TestSpectralNorm:
             eta=10.0 / 256, steps=20, record_every=20)).params
         lengths = set()
         for p in (params, trained):
-            _, _, grads = loss_grad_from_trace(p, forward_batch(p, ds.xs), ds.ys)
+            _, _, grads = loss_grad(p, ds.xs, ds.ys)
             for g in grads.layers:
                 every, steps = self.ritz_count(monkeypatch, g, _RITZ_DENSE=10 ** 9)
                 value, taken = self.ritz_count(monkeypatch, g)

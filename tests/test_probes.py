@@ -48,6 +48,20 @@ class TestPerturbationBall:
             for a, b in zip(drawn.weights, params.weights):
                 assert numkit.frobenius_norm(a - b) <= tau
 
+    @pytest.mark.parametrize("tau", [0.0, 0.2])
+    def test_layer_stream_is_the_draw(self, toy, tau):
+        # the stream takes the ball's random numbers in draw()'s order: its
+        # layers are a draw's bit for bit, and so is the draw after it
+        rng, _, _, params = toy
+        streamed = PerturbationBall(params, tau, rng.substream("b5"))
+        drawn = PerturbationBall(params, tau, rng.substream("b5"))
+        layers = list(streamed.layers())
+        assert [l for l, _ in layers] == list(range(1, params.depth + 2))
+        assert [w.tobytes() for _, w in layers] == [
+            w.tobytes() for w in drawn.draw().weights]
+        assert [w.tobytes() for w in streamed.draw().weights] == [
+            w.tobytes() for w in drawn.draw().weights]
+
     def test_boundary_bias(self, toy):
         rng, _, _, params = toy
         tau = 0.2
@@ -408,15 +422,43 @@ class TestWeightLipschitzFlips:
         assert rep.measured["fitted_c2"] > 0
 
     def test_holds_one_pair_at_a_time(self, traced_peak, deep):
-        # a pair, its two traces and a draw's temporaries: below three
-        # parameter sets, which holding the last pair through the next
-        # draw exceeds (4.5 sets when it did)
+        # Wa and its trace, one layer of Wb and a layer's temporaries: below
+        # 1.85 parameter sets (1.42 measured), which drawing Wb whole
+        # exceeds (2.29 sets when it was; 4.5 when the last pair was also
+        # held through the next draw)
         rng, params, size = deep
         xs = unit_sphere_rows(rng.substream("xw"), 4, params.d)
         rep, peak = traced_peak(lambda: probes.probe_weight_lipschitz_and_flips(
             params, rng.substream("bw"), xs, (0.1,), draws=3))
         assert rep.trials == 3
-        assert peak < 3 * size
+        assert peak < 1.85 * size
+
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_streamed_rows_match_list_formulas(self, toy, arch):
+        # Wb arrives one layer at a time: every row is bit for bit the
+        # formulas over whole draw() pairs and their two traces
+        rng, _, _, params = toy
+        params = replace(params, arch=arch)
+        xs = unit_sphere_rows(rng.substream("xl"), 5, params.d)
+        taus, draws = (0.01, 0.3), 2
+        rep = probes.probe_weight_lipschitz_and_flips(
+            params, rng.substream("bl"), xs, taus, draws)
+        want = []
+        for tau in taus:
+            ball = PerturbationBall(params, tau, rng.substream("bl").substream(
+                f"ball/{tau}"))
+            for t in range(draws):
+                wa, wb = ball.draw(), ball.draw()
+                basis = probes._layered_weight_basis(params, [
+                    numkit.spectral_norm(a - b) for a, b in zip(wa.weights, wb.weights)])
+                bta, btb = forward_batch(wa, xs), forward_batch(wb, xs)
+                for l in range(1, params.depth + 2):
+                    dist = np.linalg.norm(bta.activations[l] - btb.activations[l], axis=1)
+                    flips = np.count_nonzero(bta.pattern(l) != btb.pattern(l), axis=1)
+                    want.append([tau, t, l, float(np.max(dist)), basis[l], int(np.max(flips)),
+                                 params.widths[l - 1] * tau ** (2.0 / 3.0)])
+        assert [[repr(v) for v in r] for r in rep.details] == [
+            [repr(v) for v in r] for r in want]
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_basis_top_is_the_step_distance(self, arch):
@@ -426,9 +468,9 @@ class TestWeightLipschitzFlips:
         params = init_gaussian(rng.substream("init"), 6, 5, 24, 24, 0.1 / 5, arch)
         ball = probes.PerturbationBall(params, 0.1, rng.substream("ball"))
         wa, wb = ball.draw(), ball.draw()
-        basis = probes._layered_weight_basis(params, wa.weights, wb.weights)
-        h = trainer.step_distance(params, [numkit.spectral_norm(a - b) for a, b
-                                           in zip(wa.weights, wb.weights)])
+        norms = [numkit.spectral_norm(a - b) for a, b in zip(wa.weights, wb.weights)]
+        basis = probes._layered_weight_basis(params, norms)
+        h = trainer.step_distance(params, norms)
         assert basis[params.depth + 1] == pytest.approx(h, rel=1e-12)
 
 
@@ -449,13 +491,13 @@ class TestSemismoothness:
         rng, _, ds, params = toy
         xs = unit_sphere_rows(rng.substream("xs"), 4, params.d)
         calls = []
-        grad = lossgrad.batch_output_grad
+        grad = lossgrad.loss_grad
 
         def counted(p, *args):
             calls.append(p)
             return grad(p, *args)
 
-        monkeypatch.setattr(lossgrad, "batch_output_grad", counted)
+        monkeypatch.setattr(lossgrad, "loss_grad", counted)
         probes.probe_semismoothness(params, rng.substream("ssball"), xs,
                                     tau=0.1, draws=6, dataset=ds)
         assert calls == [params]
@@ -486,10 +528,12 @@ class TestSemismoothness:
         assert sorted(passes) == sorted(rows) == sorted(x.tobytes() for x in xs)
 
     def test_holds_one_draw_beyond_the_gradient(self, traced_peak, deep):
-        # the center's loss gradient and one draw, plus the center rows and
-        # a draw's temporaries: below three parameter sets (4.4 when the
-        # layer differences, a dataset trace and the control's zero
-        # matrices were all held)
+        # the center's loss gradient, the center rows, and one layer of a
+        # draw with its temporaries: below 2.1 parameter sets (1.67
+        # measured), which a whole draw beside the gradient, or a dataset
+        # trace kept while the gradient is formed, exceeds (2.56 sets when
+        # both were; 4.4 when the layer differences and the control's zero
+        # matrices were held too)
         rng, params, size = deep
         teacher = make_teacher(rng.substream("t"), params.d, 32, 0.05)
         ds = sample_dataset(teacher, rng.substream("d"), 50, pilot_draws=5000)
@@ -497,13 +541,15 @@ class TestSemismoothness:
         rep, peak = traced_peak(lambda: probes.probe_semismoothness(
             params, rng.substream("bm"), xs, tau=0.1, draws=4, dataset=ds))
         assert rep.measured["control_residual"] == 0.0
-        assert peak < 3 * size
+        assert peak < 2.1 * size
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_streamed_terms_match_list_formulas(self, toy, arch):
-        # each trial forms its layer differences once, in layer order, for
-        # h, the linear term and the loss term: bit for bit the formulas
-        # over a list of all 17 differences
+        # each trial takes its pair one layer at a time (a random one from
+        # the ball's layer stream) and forms each difference once, in layer
+        # order, for h, the linear term, the loss term and the forward
+        # steps: bit for bit the formulas over whole draw() pairs and a list
+        # of all their differences
         rng, _, ds, params = toy
         params = replace(params, arch=arch)
         xs = unit_sphere_rows(rng.substream("xt"), 3, params.d)
@@ -511,8 +557,7 @@ class TestSemismoothness:
         rep = probes.probe_semismoothness(params, rng.substream("bt"), xs,
                                           tau=tau, draws=draws, dataset=ds)
         ball = PerturbationBall(params, tau, rng.substream("bt").substream("ball"))
-        lb, sb, gb = lossgrad.loss_grad_from_trace(params, forward_batch(params, ds.xs),
-                                                   ds.ys)
+        lb, sb, gb = lossgrad.loss_grad(params, ds.xs, ds.ys)
         centers = [forward_batch(params, x[None, :]) for x in xs]
         pairs = [(ball.draw(), t % 3) for t in range(draws)]
         for i, bt in enumerate(centers):
@@ -531,11 +576,13 @@ class TestSemismoothness:
                 params, bt, list(lossgrad._backward_rows(params, bt)), wa)
             resid = float(forward_batch(wa, xs[i][None, :]).outputs[0]
                           - bt.outputs[0] - lin[0])
+            flips = int(np.count_nonzero(
+                forward_batch(wa, xs[i][None, :]).pattern(1) != bt.pattern(1)))
             la = lossgrad.empirical_loss(forward_batch(wa, ds.xs).outputs, ds.ys)
             lin_loss = sum(float(np.sum(d * g)) for d, g in zip(deltas, gb.layers))
             loss_ratio = (la - lb - lin_loss) / (coef_h * h * sb + m * h * h)
-            assert [row[3].hex(), row[4].hex(), row[6].hex()] == [
-                h.hex(), resid.hex(), loss_ratio.hex()]
+            assert [row[2], row[3].hex(), row[4].hex(), row[6].hex()] == [
+                flips, h.hex(), resid.hex(), loss_ratio.hex()]
 
     def test_targeted_pairs_stay_in_ball(self, toy):
         rng, _, _, params = toy
@@ -768,21 +815,20 @@ class TestLossAtInit:
         _, _, ds, params = toy
         passes, traces, grads = [], [], []
         stream = model._forward_layers
-        fwd, grad = probes.forward_batch, lossgrad.batch_output_grad
+        fwd, grad = probes.forward_batch, lossgrad._layer_gradients
         monkeypatch.setattr(model, "_forward_layers",
                             lambda *a: passes.append(a) or stream(*a))
         monkeypatch.setattr(probes, "forward_batch",
                             lambda *a: traces.append(a) or fwd(*a))
         monkeypatch.setattr(lossgrad, "forward_batch",
                             lambda *a: traces.append(a) or fwd(*a))
-        monkeypatch.setattr(lossgrad, "batch_output_grad",
+        monkeypatch.setattr(lossgrad, "_layer_gradients",
                             lambda *a: grads.append(a) or grad(*a))
         rep = probes.probe_loss_at_init(params, ds)
         assert len(passes) == 1 and traces == [] and grads == []
         # the same numbers as the loss, surrogate and outputs of one
         # full-gradient evaluation
-        loss, surrogate, _ = lossgrad.loss_grad_from_trace(
-            params, fwd(params, ds.xs), ds.ys)
+        loss, surrogate, _ = lossgrad.loss_grad(params, ds.xs, ds.ys)
         assert rep.measured["loss"] == loss
         assert rep.measured["surrogate"] == surrogate
         assert rep.measured["max_abs_output"] == float(

@@ -5,14 +5,14 @@ import pytest
 
 from reslab import lossgrad, numkit, probes, trainer
 from reslab.data import make_teacher, sample_dataset
-from reslab.model import forward_batch, init_gaussian
+from reslab.model import init_gaussian
 from reslab.numkit import RngState
 from reslab.trainer import (TRAJECTORY_COLUMNS, TrainConfig, step_distance, train,
                             write_summary_json, write_trajectory_csv)
 
 
 def loss_grad(params, ds):
-    return lossgrad.loss_grad_from_trace(params, forward_batch(params, ds.xs), ds.ys)
+    return lossgrad.loss_grad(params, ds.xs, ds.ys)
 
 
 @pytest.fixture(scope="module")
