@@ -247,6 +247,8 @@ def cmd_probe(cfg) -> int:
     repeated = sorted({nm for nm in names if names.count(nm) > 1})
     if repeated:
         raise UsageError(f"probes named more than once: {repeated}")
+    if "gradient_bounds" in names and cfg["K"] == 0:
+        raise model.ConfigError("gradient_bounds reads a GD trajectory: K must be >= 1")
     path = _dataset_path(cfg)
     root = RngState(cfg["seed"])
     if os.path.exists(path):

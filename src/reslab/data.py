@@ -23,7 +23,7 @@ from .numkit import RngState
 PILOT_DRAWS = 100_000
 MIN_ACCEPT_RATE = 0.01
 MIN_CLASS_FRACTION = 0.05
-_CHUNK = 20_000
+_CHUNK = 10_000
 NORM_TOL = 1e-9  # allowed deviation of a sample's or an input's norm from 1
 
 
@@ -126,22 +126,22 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
 
     A fixed pilot of ``pilot_draws`` draws estimates the acceptance rate;
     below 1% the margin is declared infeasible for this teacher.  Classes
-    more imbalanced than 95/5 are rejected as a degenerate teacher.
+    more imbalanced than 95/5 are rejected as a degenerate teacher.  Draws
+    come in chunks of at most ``_CHUNK`` rows, and no chunk crosses the
+    pilot's end, so the pilot's acceptances are the samples kept by then.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if n < 1 or pilot_draws < 1:
+        raise ValueError(f"need n and pilot_draws >= 1, got {n} and {pilot_draws}")
     gamma = teacher.gamma
     seed_key = (rng.seed, rng.stream)
 
     kept_x, kept_f = [], []
-    drawn = 0
-    accepted_in_pilot = 0
-    pilot_done = False
+    drawn = kept = 0
     rate = None
     # hard cap well past what the rate floor would allow, to bound the loop
     max_draws = max(pilot_draws, int(np.ceil(n / MIN_ACCEPT_RATE)) * 10)
-    while True:
-        chunk = min(_CHUNK, max_draws - drawn)
+    while rate is None or kept < n:
+        chunk = min(_CHUNK, (pilot_draws if rate is None else max_draws) - drawn)
         if chunk <= 0:
             raise InfeasibleMarginError(
                 f"could not collect {n} samples within {max_draws} draws "
@@ -151,20 +151,14 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
         keep = (np.abs(fs) >= gamma) & (fs != 0.0)
         kept_x.append(xs[keep])
         kept_f.append(fs[keep])
-        if not pilot_done:
-            in_pilot = min(chunk, pilot_draws - drawn)
-            accepted_in_pilot += int(np.count_nonzero(keep[:in_pilot]))
+        kept += kept_x[-1].shape[0]
         drawn += chunk
-        if not pilot_done and drawn >= pilot_draws:
-            pilot_done = True
-            rate = accepted_in_pilot / pilot_draws
+        if rate is None and drawn == pilot_draws:
+            rate = kept / pilot_draws
             if rate < MIN_ACCEPT_RATE:
                 raise InfeasibleMarginError(
                     f"acceptance rate {rate:.4%} below {MIN_ACCEPT_RATE:.0%} pilot floor: "
                     f"gamma={gamma} is infeasible for this teacher")
-        total_kept = sum(a.shape[0] for a in kept_x)
-        if pilot_done and total_kept >= n:
-            break
 
     xs = np.concatenate(kept_x)[:n]
     fs = np.concatenate(kept_f)[:n]

@@ -16,8 +16,9 @@ may be written over the weight) and holds no gradient set.  The stream
 drops its references to each trace layer, x_{l-1} and sigma_l, once layer
 l's gradient is formed: a trace its caller keeps stays whole, and one
 handed over, as ``loss_grad`` hands over the trace it forms, is freed as
-the gradient grows.  ``batch_output_grad`` and ``loss_grad`` keep the
-stream's layers for the callers that need them all.  The spectral norms
+the gradient grows.  ``loss_grad`` keeps the stream's layers for the
+callers that need them all; every other caller finishes each layer as it
+arrives, or takes them as a dict by layer.  The spectral norms
 behind ``h_k`` are taken on the layers by the lab's one spectral-norm
 routine, ``numkit.spectral_norm``.  The loss, the surrogate loss and the
 0-1 error are defined here once, as functions of the network outputs, so a
@@ -117,21 +118,6 @@ def _layer_gradients(params: NetworkParams, bt: BatchTrace, weights):
     yield done.pop()
 
 
-def _kept(params: NetworkParams, stream) -> GradientSet:
-    """The gradient stream's layers, each at its layer's place."""
-    layers = [None] * (params.depth + 1)
-    for l, g in stream:
-        layers[l - 1] = g
-    return GradientSet(tuple(layers))
-
-
-def batch_output_grad(params: NetworkParams, bt: BatchTrace,
-                      weights: np.ndarray) -> GradientSet:
-    """Weighted sum over samples of output gradients: sum_i w_i grad f(x_i),
-    the gradient stream's layers kept."""
-    return _kept(params, _layer_gradients(params, bt, weights))
-
-
 def empirical_loss(outputs: np.ndarray, ys: np.ndarray) -> float:
     """Empirical cross-entropy loss (the mean over samples) of the network
     outputs f(x_i).
@@ -178,14 +164,15 @@ def loss_terms(outputs: np.ndarray, ys: np.ndarray) -> tuple:
 
 def loss_grad(params: NetworkParams, xs: np.ndarray, ys: np.ndarray):
     """Loss, surrogate, and loss gradient at the batch ``xs``: ``loss_terms``
-    weighting the gradient stream, kept as a ``GradientSet``.  The forward
-    trace is formed here and handed to the stream, which alone holds it, so
-    the trace is freed layer by layer as the gradient is formed."""
+    weighting the gradient stream, its layers kept in layer order as a
+    ``GradientSet``.  The forward trace is formed here and handed to the
+    stream, which alone holds it, so the trace is freed layer by layer as
+    the gradient is formed."""
     bt = forward_batch(params, xs)
     loss, value, weights = loss_terms(bt.outputs, ys)
     stream = _layer_gradients(params, bt, weights)
     del bt
-    return loss, value, _kept(params, stream)
+    return loss, value, GradientSet(tuple(g for _, g in stream)[::-1])
 
 
 def _perturbed(params: NetworkParams, l: int, i: int, j: int, delta: float) -> NetworkParams:

@@ -13,14 +13,15 @@ baseline replaces every layer by x_l = relu(W_lᵀ x_{l-1}).
 Forward evaluation is one stream over the layers that hands out each
 layer's activations with its binary activation pattern sigma_l(x) (bit j
 set iff the pre-activation of unit j is strictly positive).  A trace keeps
-every layer; a caller that reads only outputs, or one layer at a time,
-holds two.  One layer's step, ``_forward_step``, is the forward arithmetic,
-and a caller whose weights arrive one layer at a time runs it itself.
-``interlayer_norms`` takes the spectral norms of the
-frozen-pattern interlayer operators H_l^{l'}, the linearization the
-patterns define from layer l to layer l'.  Their rows vᵀ H_l^{L+1} are
-``lossgrad``'s backward rows.  Checkpoint files keep their fields, layer
-order and content checks here, and their framing in ``data``.
+every layer and holds no weight, so every consumer takes the net beside
+it; a caller that reads only outputs, or one layer at a time, holds two.
+One layer's step, ``_forward_step``, is the forward arithmetic, and a
+caller whose weights arrive one layer at a time runs it itself.
+``interlayer_norms`` takes the spectral norms of the frozen-pattern
+interlayer operators H_l^{l'}, the linearization the patterns define from
+layer l to layer l'.  Their rows vᵀ H_l^{L+1} are ``lossgrad``'s backward
+rows.  Checkpoint files keep their fields, layer order and content checks
+here, and their framing in ``data``.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ class BatchTrace:
 
     ``activations[l]`` is x_l (so activations[0] holds the inputs) and
     ``pattern(l)`` is the boolean activation pattern sigma_l for
-    l = 1..L+1.  One input is a one-row batch.
+    l = 1..L+1.  One input is a one-row batch.  A trace is data only: it
+    holds none of the weights it was made from.
     """
 
-    params: NetworkParams
     activations: tuple  # activations[l] has shape (n, m_l)
     patterns: tuple     # patterns[l-1] has shape (n, m_l), boolean
     outputs: np.ndarray
@@ -220,7 +221,7 @@ def forward_batch(params: NetworkParams, xs: np.ndarray) -> BatchTrace:
     for _, h, pat in _forward_layers(params, xs):
         acts.append(h)
         pats.append(pat)
-    return BatchTrace(params, tuple(acts), tuple(pats[1:]), acts[-1] @ params.v)
+    return BatchTrace(tuple(acts), tuple(pats[1:]), acts[-1] @ params.v)
 
 
 def forward_outputs(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
@@ -238,9 +239,9 @@ def _factor_apply(params, pattern, w, r, a):
     return masked
 
 
-def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
-    """Spectral norms of H_l^{l'} at ``trace``'s row ``row``, for each
-    (l, l') in ``pairs``, in order.
+def interlayer_norms(params: NetworkParams, trace: BatchTrace, row: int, pairs) -> list:
+    """Spectral norms of H_l^{l'} of ``params`` at row ``row`` of its trace
+    ``trace``, for each (l, l') in ``pairs``, in order.
 
     For 2 <= l <= l' <= L, H_l^{l'} is the product of (I + theta*sigma_r W_rᵀ)
     over r = l..l'.  Boundary conventions: the r = 1 factor is sigma_1 W_1ᵀ
@@ -254,7 +255,6 @@ def interlayer_norms(trace: BatchTrace, row: int, pairs) -> list:
     pairs that share a start layer share their prefix product.  One
     operator is held at a time.  An empty range (l > l') is the identity.
     """
-    params = trace.params
     ends = {}
     for i, (l, lp) in enumerate(pairs):
         if not (1 <= l <= params.depth + 2) or not (0 <= lp <= params.depth + 1):

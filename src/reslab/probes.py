@@ -23,10 +23,11 @@ weight-Lipschitz pairs' second draw and semismoothness's random draws come
 from it: each layer serves its terms and its forward step
 (``model._forward_step``) and is dropped before the next is made.  A probe
 whose backward pass reads a draw's layers in reverse (``sparse_output``,
-the semismoothness control) holds one whole draw.  Each draw or pair, and
-every trace that pins it, is dropped before the next is made.  Probes that
-read only outputs, or one layer at a time, take them from
-``model.forward_outputs`` or the forward stream and hold no trace.  The
+the semismoothness control) holds one whole draw.  A trace holds no
+weight, so a pair's first draw is let go layer by layer while its trace is
+read.  Each draw or pair, and its traces, are dropped before the next is
+made.  Probes that read only outputs, or one layer at a time, take them
+from ``model.forward_outputs`` or the forward stream and hold no trace.  The
 Rademacher ascent steps and places each layer as it leaves ``lossgrad``'s
 gradient stream, writing into the iterate's own buffers from its second
 step on.  It holds one trace at a time: the center's is formed for a
@@ -237,7 +238,7 @@ def probe_activation_norms(params: NetworkParams, inputs, h_inputs=5) -> ProbeRe
         rows.append(["xnorm", l, 0, float(np.min(norms)), float(np.max(norms))])
     pairs = _default_layer_pairs(L)
     for i in range(min(h_inputs, xs.shape[0])):
-        for (l, lp), hn in zip(pairs, interlayer_norms(bt, i, pairs)):
+        for (l, lp), hn in zip(pairs, interlayer_norms(params, bt, i, pairs)):
             rows.append(["hnorm", l, lp, hn, hn])
 
     xnorm_min = min(r[3] for r in rows if r[0] == "xnorm")
@@ -331,11 +332,11 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
     and (b) fits C3 in  flips_l <= C3 * m_l * tau^(2/3), plus the log-log
     slope of mean flips against tau (theory predicts exponent 2/3).
 
-    A pair's Wa is drawn whole and its trace kept; Wb comes from the ball's
-    layer stream, and each of its layers serves the spectral norm of
-    Wa_l - Wb_l, its forward step and that layer's row before it and Wa_l
-    are dropped.  The rows' basis is filled in once the pair's norms are
-    all taken.
+    A pair's Wa is drawn whole and its forward trace formed, which holds
+    none of Wa's weights; Wb comes from the ball's layer stream, and each
+    of its layers serves the spectral norm of Wa_l - Wb_l, its forward step
+    and that layer's row before it and Wa_l are dropped.  The rows' basis
+    is filled in once the pair's norms are all taken.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     L = params.depth
@@ -344,14 +345,14 @@ def probe_weight_lipschitz_and_flips(params: NetworkParams, rng: RngState,
         ball = PerturbationBall(params, tau, rng.substream(f"ball/{tau}"))
         for t in range(draws):
             wa = ball.draw()
-            trace_a = list(_forward_layers(wa, xs))  # its items hold no weight
+            trace_a = forward_batch(wa, xs)
             wa = list(wa.weights)  # each layer let go once its row is written
-            h, norms, measured = trace_a[0][1], [], []
+            h, norms, measured = trace_a.activations[0], [], []
             for l, wb in ball.layers():
                 wa_l, wa[l - 1] = wa[l - 1], None
                 norms.append(numkit.spectral_norm(wa_l - wb))
                 h, pattern = _forward_step(params, l, h, wb)
-                _, xa, pa = trace_a[l]
+                xa, pa = trace_a.activations[l], trace_a.pattern(l)
                 measured.append((float(np.max(np.linalg.norm(xa - h, axis=1))),
                                  int(np.max(np.count_nonzero(pa != pattern, axis=1)))))
                 del wa_l, wb  # the next layer is drawn with this one gone
@@ -791,7 +792,7 @@ def probe_sparse_output(params: NetworkParams, rng: RngState, tau: float,
         worst = max(abs(float(g[0] @ a))
                     for l, g, _ in lossgrad._backward_rows(wt, trace) if l <= L)
         rows.append([t, worst, basis])
-        del wt, trace  # the next draw is made with this one gone
+        del wt, trace  # neither is held while the next draw is made
     fitted, ok = _fit(rows, 1, 2)
     return ProbeReport(
         name="sparse_output",
@@ -864,8 +865,9 @@ def _ascend(ball: PerturbationBall, xs, xi, step_size, steps):
     ascent in ``ball`` from its center and the linearization gap at its
     endpoint, or None on divergence.  The ascent holds one trace: the
     center's takes the first step and is formed again for the gap, and
-    every other trace holds its iterate and is dropped once its gradient is
-    taken.  The gap forms each layer's step as the center's rows reach it."""
+    every other one is of the current iterate and is dropped once its
+    gradient is taken.  The gap forms each layer's step as the center's
+    rows reach it."""
     params = ball.center
     n = xs.shape[0]
     bt = forward_batch(params, xs)
@@ -966,8 +968,11 @@ def probe_surrogate_markov(params: NetworkParams, heldout, band: float) -> Probe
 # depth sweep: residual versus plain under one tuning protocol
 # ---------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ["arch", "L", "eta", "retries", "steps_to_threshold",
-                 "final_train_err", "final_surrogate", "h2l_init", "h2l_final"]
+# Each sweep column with the type ``sweep_cell`` writes it in
+SWEEP_TYPES = {"arch": str, "L": int, "eta": float, "retries": int,
+               "steps_to_threshold": int, "final_train_err": float,
+               "final_surrogate": float, "h2l_init": float, "h2l_final": float}
+SWEEP_COLUMNS = list(SWEEP_TYPES)
 
 
 SWEEP_MAX_RETRIES = 2      # eta halvings a diverging cell may take
@@ -1021,21 +1026,24 @@ def sweep_cell(rng: RngState, arch: str, L: int, ds, m, theta_per_L, eta_scale,
         # train never writes the weights it starts from: params is the init
         for key, net in (("h2l_init", params), ("h2l_final", result.params)):
             bt = forward_batch(net, ds.xs[:3])
-            row[key] = max(interlayer_norms(bt, i, [(2, L)])[0] for i in range(bt.n))
+            row[key] = max(interlayer_norms(net, bt, i, [(2, L)])[0]
+                           for i in range(bt.n))
     return row
 
 
 def _cached_cell(cache_dir, inputs, compute) -> dict:
     """``cache_dir``'s row for ``inputs``' arch and L if computed from
     ``inputs``, else ``compute()``'s, stored; a half-written or malformed
-    file is recomputed."""
+    file, or a row with a column missing or not of its ``SWEEP_TYPES``
+    type, is recomputed."""
     path = os.path.join(cache_dir, f"cell_{inputs['arch']}_L{inputs['L']}", "cell.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             row = json.load(fh)
     except (FileNotFoundError, ValueError):
         row = None
-    if isinstance(row, dict) and row.get("inputs") == inputs and row.keys() >= set(SWEEP_COLUMNS):
+    if (isinstance(row, dict) and row.get("inputs") == inputs
+            and all(type(row.get(c)) is t for c, t in SWEEP_TYPES.items())):
         return row
     row = {**compute(), "inputs": inputs}
     os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -92,7 +92,7 @@ def test_criterion_02_interlayer_depth_independence():
             x /= np.linalg.norm(x)
             xs.append(x)
         tr = forward_batch(params, np.stack(xs))
-        maxes[L] = max(interlayer_norms(tr, i, [(2, L)])[0] for i in range(tr.n))
+        maxes[L] = max(interlayer_norms(params, tr, i, [(2, L)])[0] for i in range(tr.n))
     bound = math.exp(3 * 0.1)  # theta * L = 0.1 at every depth
     ratio = maxes[128] / maxes[8]
     ok = all(v <= bound for v in maxes.values()) and ratio <= 1.15

@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -7,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from reslab import cli, data, model, probes
+from reslab import cli, data, lossgrad, model, probes, trainer
 from reslab.cli import main
+from reslab.numkit import RngState
 
 
 def write_config(path, **kv):
@@ -25,8 +29,8 @@ def write_config(path, **kv):
     return str(path)
 
 
-BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs")
-                       .glob("*.json"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_CONFIGS = sorted((BENCH / "configs").glob("*.json"))
 
 
 @pytest.fixture()
@@ -248,6 +252,21 @@ class TestProbe:
                      "--out", str(tmp_path / "o"),
                      "--probes", "not_a_probe"]) == 4
 
+    @pytest.mark.parametrize("names", ["gradient_bounds", "all"])
+    def test_gradient_bounds_with_no_step_exits_4(self, tmp_path, capsys, names):
+        # gradient_bounds reads the trajectory of a K-step train, which K 0
+        # leaves empty: refused before any probe runs or anything is written
+        bad = write_config(tmp_path / "bad.json", K=0)
+        capsys.readouterr()
+        assert main(["probe", "--config", bad, "--out", str(tmp_path / "o"),
+                     "--probes", names]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+        # a probe that trains nothing takes K 0
+        assert main(["probe", "--config", bad, "--out", str(tmp_path / "o"),
+                     "--probes", "loss_at_init"]) == 0
+
     @pytest.mark.parametrize("names", ["", ",", " , "])
     def test_empty_probe_list_exits_4(self, tmp_path, capsys, cfg_file, names):
         # it would write an index.json that holds no report
@@ -347,6 +366,26 @@ class TestSweep:
             assert open(cell, "rb").read() == whole
         assert sorted(os.listdir(os.path.dirname(cell))) == ["cell.json"]
 
+    @pytest.mark.parametrize("column, value", [
+        ("steps_to_threshold", None), ("final_train_err", 0), ("retries", False)])
+    def test_cell_of_the_wrong_type_is_recomputed(self, tmp_path, cfg_file, column, value):
+        # a row whose inputs match is reused only if each column has the type
+        # sweep_cell writes: a null would end the sweep in a traceback, and
+        # an int or bool would reach sweep.csv in place of the fresh value
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+        csv_path = os.path.join(out, "sweep.csv")
+        fresh = open(csv_path, "rb").read()
+        cell = os.path.join(out, "cell_residual_L2", "cell.json")
+        whole = open(cell, "rb").read()
+        row = json.loads(whole)
+        row[column] = value
+        with open(cell, "w", encoding="utf-8") as fh:
+            json.dump(row, fh)
+        assert main(["sweep", "--config", cfg_file, "--out", out]) == 0
+        assert open(csv_path, "rb").read() == fresh
+        assert open(cell, "rb").read() == whole
+
     def test_config_key_stamp_is_recomputed(self, tmp_path, cfg_file):
         # cells stamped with config key names (seed, sweep_m, ...) rather
         # than depth_sweep's argument names are stale, never reused
@@ -395,6 +434,45 @@ class TestSweep:
         rows = open(os.path.join(shared, "sweep.csv"), "rb").read()
         assert rows == open(os.path.join(fresh, "sweep.csv"), "rb").read()
         assert rows != stale
+
+
+class TestBenchHooks:
+    """What ``bench/run.py`` and its tracer take from the lab by name."""
+
+    @pytest.fixture()
+    def bench_run(self, monkeypatch):
+        """``bench/run.py`` as a module, loaded by path without running it."""
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks here
+        spec.loader.exec_module(module)
+        return module
+
+    def test_workloads_name_lab_functions(self, bench_run):
+        assert len(bench_run.WORKLOADS) == 4
+        for workload in bench_run.WORKLOADS.values():
+            module, name = workload.entry
+            assert inspect.isfunction(getattr(importlib.import_module(f"reslab.{module}"),
+                                              name))
+            assert set(workload.commands) <= set(cli.COMMANDS)
+            assert (BENCH / "configs" / workload.config).is_file()
+
+    def test_train_takes_h_k_through_gradient_set(self, monkeypatch):
+        # depth-sweep's ms_per_iter leaves out the time spent here
+        calls = []
+        norms = lossgrad.GradientSet.spectral_norms
+        monkeypatch.setattr(lossgrad.GradientSet, "spectral_norms",
+                            lambda grads: calls.append(len(grads.layers)) or norms(grads))
+        rng = RngState(4)
+        ds = data.make_dataset(rng, 6, 32, 0.05, 40)
+        params = model.init_gaussian(rng.substream("init"), 6, 3, 16, 16, 0.1 / 3)
+        result = trainer.train(params, ds, trainer.TrainConfig(eta=0.25, steps=2))
+        assert [rec.step for rec in result.records] == [0, 1, 2]
+        assert calls == [1] * 3 * (params.depth + 1)
+
+    def test_draw_is_defined_on_the_ball(self):
+        # the tracer wraps vars(PerturbationBall)["draw"], not an inherited one
+        assert "draw" in vars(probes.PerturbationBall)
 
 
 REPORT = {"name": "x", "verdict": "holds", "constant_fit": 1.5,

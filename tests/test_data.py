@@ -114,6 +114,27 @@ class TestSampling:
         assert ds.n == 200
         assert peak <= 1.5 * data._CHUNK * 64 * 8
 
+    def test_no_chunk_crosses_the_pilot_end(self, monkeypatch):
+        # the pilot is a run of whole chunks, and the samples are the first
+        # n accepted rows of the one stream of draws, whatever the chunk size
+        rng = RngState(0)
+        t = make_teacher(rng.substream("t"), 10, 64, 0.1)
+        sizes = []
+        rows = data.unit_sphere_rows
+        monkeypatch.setattr(data, "unit_sphere_rows",
+                            lambda r, count, d: sizes.append(count) or rows(r, count, d))
+        ds = sample_dataset(t, rng.substream("d"), 200, pilot_draws=25_000)
+        assert sizes == [10_000, 10_000, 5_000]
+        monkeypatch.setattr(data, "_CHUNK", 3_000)
+        again = sample_dataset(t, rng.substream("d"), 200, pilot_draws=25_000)
+        assert sizes[3:] == 8 * [3_000] + [1_000]
+        assert again.xs.tobytes() == ds.xs.tobytes()
+        assert again.ys.tobytes() == ds.ys.tobytes()
+        assert (again.realized_margin, again.acceptance_rate) == (
+            ds.realized_margin, ds.acceptance_rate)
+        with pytest.raises(ValueError):  # no pilot, no rate
+            sample_dataset(t, rng.substream("d"), 200, pilot_draws=0)
+
 
 class TestPersistence:
     def make_ds(self, seed=9):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from reslab import lossgrad, model, numkit
-from reslab.lossgrad import (batch_output_grad, finite_diff_oracle, loss_grad, xent,
-                             xent_deriv)
+from reslab.lossgrad import finite_diff_oracle, loss_grad, xent, xent_deriv
 from reslab.model import forward_batch, init_gaussian
 from reslab.numkit import RngState
 
@@ -27,10 +26,11 @@ def output_gradients(p, t):
 
 def held_loss_grad(p, xs, ys):
     """The loss gradient on a trace the caller keeps: ``loss_terms``
-    weighting ``batch_output_grad``."""
+    weighting the gradient stream, its layers in layer order."""
     bt = forward_batch(p, xs)
     loss, value, weights = lossgrad.loss_terms(bt.outputs, ys)
-    return loss, value, batch_output_grad(p, bt, weights)
+    layers = dict(lossgrad._layer_gradients(p, bt, weights))
+    return loss, value, lossgrad.GradientSet(tuple(layers[l] for l in sorted(layers)))
 
 
 def net(seed=0, d=4, L=6, m=16, m_last=16, arch="residual"):
@@ -167,10 +167,10 @@ class TestOutputGradient:
         x = unit(RngState(9).standard_normal(4))
         bt = forward_batch(base, x[None, :])
         w = np.array([1.0])
-        g1 = batch_output_grad(base, bt, w).layers
-        g2 = batch_output_grad(doubled, bt, w).layers
-        np.testing.assert_allclose(g2[L - 1], 2.0 * g1[L - 1], rtol=1e-12)
-        np.testing.assert_allclose(g2[L], g1[L], rtol=1e-12)
+        g1 = dict(lossgrad._layer_gradients(base, bt, w))
+        g2 = dict(lossgrad._layer_gradients(doubled, bt, w))
+        np.testing.assert_allclose(g2[L], 2.0 * g1[L], rtol=1e-12)
+        np.testing.assert_allclose(g2[L + 1], g1[L + 1], rtol=1e-12)
         for l in range(1, L + 2):
             expected = base.theta if 2 <= l <= L else 1.0
             assert base.layer_scale(l) == expected
@@ -298,10 +298,11 @@ class TestBatchLossGrad:
             xs, _ = self.make_data(p, 40, seed=90)
             bt = forward_batch(p, xs)
             w = RngState(91).standard_normal(40)
-            got = batch_output_grad(p, bt, w).layers
+            got = dict(lossgrad._layer_gradients(p, bt, w))
             want = unshared(p, bt, w)
-            assert len(got) == len(want) == p.depth + 1
-            for a, b in zip(got, want):
+            assert sorted(got) == list(range(1, len(want) + 1))
+            assert len(want) == p.depth + 1
+            for a, b in zip((got[l] for l in sorted(got)), want):
                 assert a.shape == b.shape
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -314,8 +315,8 @@ class TestBatchLossGrad:
         xs, _ = self.make_data(p, 50, seed=93)
         bt = forward_batch(p, xs)
         w = RngState(94).standard_normal(50)
-        grads, peak = traced_peak(lambda: batch_output_grad(p, bt, w))
-        assert peak - sum(g.nbytes for g in grads.layers) <= 6 * 50 * 64 * 8
+        grads, peak = traced_peak(lambda: dict(lossgrad._layer_gradients(p, bt, w)))
+        assert peak - sum(g.nbytes for g in grads.values()) <= 6 * 50 * 64 * 8
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_handed_over_trace_matches_a_held_one(self, arch):
@@ -348,18 +349,18 @@ class TestBatchLossGrad:
     def test_stream_yields_a_layer_once_its_weight_is_read(self, arch):
         # a caller may overwrite W_l as soon as layer l arrives: with each
         # yielded layer's weight set to NaN, every layer still has
-        # batch_output_grad's bytes, in the order l = L+1 down to 1
+        # the bytes of the stream left untouched, in the order l = L+1 down to 1
         p = net(16, d=10, L=6, m=32, m_last=24, arch=arch)
         xs, _ = self.make_data(p, 30, seed=95)
         bt = forward_batch(p, xs)
         w = RngState(96).standard_normal(30)
-        want = batch_output_grad(p, bt, w).layers
+        want = dict(lossgrad._layer_gradients(p, bt, w))
         own = p.with_weights(wl.copy() for wl in p.weights)
         got = []
         for l, g in lossgrad._layer_gradients(own, bt, w):
             own.weights[l - 1].fill(np.nan)
             got.append((l, g.tobytes()))
-        assert got == [(l, want[l - 1].tobytes()) for l in range(p.depth + 1, 0, -1)]
+        assert got == [(l, want[l].tobytes()) for l in range(p.depth + 1, 0, -1)]
 
     def test_oracle_reports_flips_itself_in_three_passes(self, monkeypatch):
         # a flip-free entry costs the base pass and the two probes; an entry

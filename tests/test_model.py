@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,17 @@ class TestForward:
         _, peak = traced_peak(lambda: forward_batch(p, xs))
         assert peak >= 17 * layer
 
+    @pytest.mark.parametrize("arch", ["residual", "plain"])
+    def test_trace_holds_no_weight(self, arch):
+        # a trace is data only: once its net is dropped, the net's weights
+        # are freed while the trace lives on
+        p = small_net(seed=18, L=4, m=16, m_last=12, arch=arch)
+        t = forward(p, unit(RngState(19).standard_normal(4)))
+        weights = [weakref.ref(w) for w in p.weights]
+        del p
+        assert all(w() is None for w in weights)
+        assert t.n == 1 and len(t.activations) == len(weights) + 1
+
 
 class TestInterlayer:
     @staticmethod
@@ -253,7 +266,7 @@ class TestInterlayer:
     def test_identity_when_range_is_empty(self):
         p = small_net()
         t = forward(p, unit(np.ones(4)))
-        assert interlayer_norms(t, 0, [(3, 2), (p.depth + 2, p.depth + 1)]) == (
+        assert interlayer_norms(p, t, 0, [(3, 2), (p.depth + 2, p.depth + 1)]) == (
             pytest.approx([1.0, 1.0], abs=1e-12))
         # the top backward row is vᵀ H_{L+2}^{L+1} = v itself
         l, g, _ = next(lossgrad._backward_rows(p, t))
@@ -275,7 +288,7 @@ class TestInterlayer:
     def test_theta_zero_middle_product_is_identity(self):
         p = small_net(seed=14, theta=0.0)
         t = forward(p, unit(RngState(15).standard_normal(4)))
-        assert interlayer_norms(t, 0, [(2, p.depth)])[0] == pytest.approx(1.0, abs=1e-12)
+        assert interlayer_norms(p, t, 0, [(2, p.depth)])[0] == pytest.approx(1.0, abs=1e-12)
         # the backward row passes the middle layers unchanged
         rows = {l: g[0] for l, g, _ in lossgrad._backward_rows(p, t)}
         for l in range(1, p.depth):
@@ -286,7 +299,7 @@ class TestInterlayer:
         t = forward(p, unit(RngState(21).standard_normal(4)))
         for (l, lp) in ((2, 4), (1, 5), (2, 5)):
             oracle = float(np.linalg.svd(self.dense_h(p, t, l, lp), compute_uv=False)[0])
-            assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(
+            assert interlayer_norms(p, t, 0, [(l, lp)])[0] == pytest.approx(
                 oracle, rel=1e-8)
 
     def test_backward_rows_are_the_dense_rows(self):
@@ -310,7 +323,8 @@ class TestInterlayer:
                 oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
                 if l > lp:
                     assert oracle == 1.0
-                assert interlayer_norms(t, 0, [(l, lp)])[0] == pytest.approx(oracle, rel=1e-10)
+                assert interlayer_norms(p, t, 0, [(l, lp)])[0] == pytest.approx(
+                    oracle, rel=1e-10)
 
     def test_chained_norms_match_each_pair_bit_for_bit(self):
         # one chain per start layer must give the bits of forming each pair's
@@ -329,10 +343,10 @@ class TestInterlayer:
         for arch in ("residual", "plain"):
             p = small_net(seed=40, d=4, L=L, m=16, m_last=12, theta=0.3 / L, arch=arch)
             t = forward(p, unit(RngState(41).standard_normal(4)))
-            chained = interlayer_norms(t, 0, pairs)
+            chained = interlayer_norms(p, t, 0, pairs)
             assert len(chained) == len(pairs)
             for (l, lp), hn in zip(pairs, chained):
-                assert hn.hex() == interlayer_norms(t, 0, [(l, lp)])[0].hex()
+                assert hn.hex() == interlayer_norms(p, t, 0, [(l, lp)])[0].hex()
                 assert hn.hex() == formed(p, t, l, lp).hex()
 
     def test_chain_forms_each_start_layer_once(self, monkeypatch):
@@ -347,7 +361,7 @@ class TestInterlayer:
         L = 6
         p = small_net(seed=42, L=L, m=16, m_last=16)
         t = forward(p, unit(RngState(43).standard_normal(4)))
-        interlayer_norms(t, 0, [(2, L), (1, L), (2, 3), (3, 4), (2, L + 1), (3, L), (5, 4)])
+        interlayer_norms(p, t, 0, [(2, L), (1, L), (2, 3), (3, 4), (2, L + 1), (3, L), (5, 4)])
         # start 2 runs to L+1, start 1 to L, start 3 to L; (5, 4) is empty
         assert sorted(calls) == sorted([*range(2, L + 2), *range(1, L + 1),
                                         *range(3, L + 1)])
@@ -356,7 +370,7 @@ class TestInterlayer:
         p = small_net()
         t = forward(p, unit(np.ones(4)))
         with pytest.raises(model.ShapeError):
-            interlayer_norms(t, 0, [(2, 3), (0, 2)])
+            interlayer_norms(p, t, 0, [(2, 3), (0, 2)])
 
     def test_submultiplicative_sanity(self):
         p = small_net(seed=22, L=6, m=16, m_last=16)
@@ -364,14 +378,14 @@ class TestInterlayer:
         cap = 1.0
         for l in range(2, p.depth + 1):
             cap *= 1.0 + p.theta * numkit.spectral_norm(p.weights[l - 1])
-        assert interlayer_norms(t, 0, [(2, p.depth)])[0] <= cap + 1e-9
+        assert interlayer_norms(p, t, 0, [(2, p.depth)])[0] <= cap + 1e-9
 
     def test_range_validation(self):
         p = small_net()
         t = forward(p, unit(np.ones(4)))
         for bad in ((0, 2), (2, p.depth + 2), (p.depth + 3, p.depth + 1)):
             with pytest.raises(model.ShapeError):
-                interlayer_norms(t, 0, [bad])
+                interlayer_norms(p, t, 0, [bad])
 
     def test_patterns_frozen_not_recomputed(self):
         # the operators and the backward rows read the trace's patterns and
@@ -379,10 +393,10 @@ class TestInterlayer:
         # patterns are all flipped, they follow the flipped patterns
         p = small_net(seed=24)
         t = forward(p, unit(RngState(25).standard_normal(4)))
-        flipped = BatchTrace(p, t.activations, tuple(~s for s in t.patterns), t.outputs)
+        flipped = BatchTrace(t.activations, tuple(~s for s in t.patterns), t.outputs)
         oracle = float(np.linalg.svd(self.dense_h(p, flipped, 2, 2), compute_uv=False)[0])
-        assert interlayer_norms(flipped, 0, [(2, 2)])[0] == pytest.approx(oracle, rel=1e-10)
-        assert interlayer_norms(t, 0, [(2, 2)])[0] != pytest.approx(oracle, rel=1e-6)
+        assert interlayer_norms(p, flipped, 0, [(2, 2)])[0] == pytest.approx(oracle, rel=1e-10)
+        assert interlayer_norms(p, t, 0, [(2, 2)])[0] != pytest.approx(oracle, rel=1e-6)
         *_, (l, g, _) = lossgrad._backward_rows(p, flipped)
         np.testing.assert_allclose(g[0], p.v @ self.dense_h(p, flipped, 2, p.depth + 1),
                                    rtol=1e-12, atol=1e-14)

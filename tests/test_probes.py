@@ -346,7 +346,7 @@ class TestActivationNormProbe:
         rng, _, ds, _ = toy
 
         def one_row_norms(net, x, pairs):
-            return model.interlayer_norms(forward_batch(net, x[None, :]), 0, pairs)
+            return model.interlayer_norms(net, forward_batch(net, x[None, :]), 0, pairs)
 
         trained = []
         train = trainer.train
@@ -875,19 +875,19 @@ class TestRademacher:
         # the first step's pass is on a trace of the center, formed for
         # that draw and dropped after its step
         rng, _, ds, params = toy
-        traces = []
+        nets = []
         rows = lossgrad._backward_rows
 
         def counted(p, bt):
-            traces.append(bt)
+            nets.append(p)
             return rows(p, bt)
 
         monkeypatch.setattr(lossgrad, "_backward_rows", counted)
         rep = probes.rademacher_estimate(params, 0.1, ds, rng.substream("rc"),
                                          xi_draws=3, ascent_steps=4)
         assert rep.measured["dropped"] == 0
-        assert len(traces) == 3 + 3 * 4
-        assert [i for i, bt in enumerate(traces) if bt.params is params] == [0, 4, 5, 9, 10, 14]
+        assert len(nets) == 3 + 3 * 4
+        assert [i for i, p in enumerate(nets) if p is params] == [0, 4, 5, 9, 10, 14]
 
     @pytest.mark.parametrize("arch", ["residual", "plain"])
     def test_streamed_linearization_bits_match_list_formula(self, toy, arch):
@@ -925,8 +925,8 @@ class TestRademacher:
         # radially, first by tau / norm with a 1e-12 margin, until it lies
         # within the per-layer tau-ball
         want = []
-        for w, w0, g in zip(iterate.weights, center.weights, grads.layers):
-            placed = w0 + ((w + g * step_size) - w0)
+        for l, (w, w0) in enumerate(zip(iterate.weights, center.weights), 1):
+            placed = w0 + ((w + grads[l] * step_size) - w0)
             margin = 1e-12
             for k in range(8):
                 stored = placed - w0
@@ -951,7 +951,7 @@ class TestRademacher:
             for l, w in enumerate(params.weights))
         bt = forward_batch(moved, ds.xs)
         xi = rng.substream("step").signs(ds.n) / ds.n
-        grads = lossgrad.batch_output_grad(moved, bt, xi)
+        grads = dict(lossgrad._layer_gradients(moved, bt, xi))
         want = self.stepped_and_placed(moved, params, grads, 0.5, tau)
         center = [w.tobytes() for w in params.weights]
         ball = PerturbationBall(params, tau, rng.substream("unused"))
@@ -965,7 +965,7 @@ class TestRademacher:
         rng, _, ds, params = toy
         bt = forward_batch(params, ds.xs)
         xi = rng.substream("step").signs(ds.n) / ds.n
-        grads = lossgrad.batch_output_grad(params, bt, xi)
+        grads = dict(lossgrad._layer_gradients(params, bt, xi))
         want = self.stepped_and_placed(params, params, grads, 0.01, 0.05)
         center = [w.tobytes() for w in params.weights]
         ball = PerturbationBall(params, 0.05, rng.substream("unused"))
