@@ -5,11 +5,13 @@ randomness flows from that seed through named substreams (teacher/data/init/
 ball/xi/...).  CLI flags override config-file keys, which override built-in
 defaults, and every output directory embeds the resolved config it was
 produced with.  The flags are --config, --seed, --out, --arch, --probes,
---data and --checkpoint; every other value is set in the config file.  One
-table, ``KEYS``, gives each key its default and its check, and the config
-is checked whole when it is loaded, before any command reads it.  The skip
-weight is theta_per_L / L and the step size eta_scale / m, with m the width
-of the network being trained.
+--data and --checkpoint; every other value is set in the config file, a
+JSON object.  Each decision lives in one table: ``KEYS`` gives each key its
+default and its check, and the config is checked whole when it is loaded,
+before any command reads it; ``PROBES`` maps each probe name to its runner,
+in the order ``all`` runs them; ``COMMANDS`` maps each subcommand to its
+function.  The skip weight is theta_per_L / L and the step size
+eta_scale / m, with m the width of the network being trained.
 
 Exit codes: 0 success, 1 check failure, 2 data infeasibility, 3 I/O error,
 malformed or invalid file, or shape mismatch, 4 usage error: an unknown flag
@@ -43,17 +45,22 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
 
-# Each config key's default and its check, one of ``data``'s (what the value
-# must be, its test); null stays allowed where the default is null.  Counts
-# are at least 1, as a count of 0 would divide by zero or make a verdict from
-# no trials, but K, a number of GD steps, may be 0.
+ARCHES = (model.ARCH_RESIDUAL, model.ARCH_PLAIN)
+ARCH = (" or ".join(map(repr, ARCHES)), lambda v: type(v) is str and v in ARCHES)
+LIST_OF_ARCH = (f"a list whose entries are each {ARCH[0]}",
+                lambda v: type(v) is list and all(map(ARCH[1], v)))
+
+# Each config key's default and its check, ``data``'s or an arch rule above
+# (what the value must be, its test); null stays allowed where the default is
+# null.  Counts are at least 1, as a count of 0 would divide by zero or make a
+# verdict from no trials, but K, a number of GD steps, may be 0.
 KEYS = {
     "d": (10, data.SIZE), "L": (16, data.SIZE), "m": (256, data.SIZE),
     "m_last": (None, data.SIZE), "n": (200, data.SIZE), "gamma": (0.1, data.AMOUNT),
     "M": (64, data.SIZE), "theta_per_L": (0.1, data.NUMBER),
     "eta_scale": (10.0, data.NUMBER), "K": (2000, data.COUNT),
     "stop_surrogate": (None, data.NUMBER), "seed": (0, data.INTEGER),
-    "arch": ("residual", data.TEXT), "probes": ("all", data.TEXT),
+    "arch": (model.ARCH_RESIDUAL, ARCH), "probes": ("all", data.TEXT),
     "data": (None, data.TEXT), "checkpoint": (None, data.TEXT), "out": ("out", data.TEXT),
     "heldout_n": (2000, data.SIZE), "ball_tau": (0.1, data.AMOUNT),
     "probe_inputs": (50, data.SIZE), "probe_draws": (8, data.SIZE),
@@ -62,18 +69,11 @@ KEYS = {
     "sparsity": (16, data.SIZE), "trials": (20, data.SIZE), "xi_draws": (16, data.SIZE),
     "ascent_steps": (50, data.SIZE), "markov_band": (0.03, data.NUMBER),
     "sweep_L": ([4, 16, 64], data.SIZES),
-    "sweep_arch": (["residual", "plain"], data.TEXTS), "sweep_m": (128, data.SIZE),
+    "sweep_arch": (list(ARCHES), LIST_OF_ARCH), "sweep_m": (128, data.SIZE),
     "sweep_eta_scale": (2.0, data.NUMBER), "steps_budget": (2000, data.SIZE),
     "surrogate_target": (0.3, data.NUMBER),
 }
 DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
-
-PROBE_NAMES = [
-    "activation_norms", "input_lipschitz", "weight_lipschitz_flips",
-    "semismoothness", "gradient_bounds", "separability", "threshold_indices",
-    "sparse_output", "loss_at_init", "rademacher", "surrogate_markov",
-    "depth_sweep",
-]
 
 
 class UsageError(ValueError):
@@ -99,6 +99,9 @@ def load_config(path=None, overrides=None) -> dict:
             raise FileNotFoundError(f"config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        if type(file_cfg) is not dict:
+            raise UsageError(f"config file {path} must hold a JSON object, "
+                             f"not {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -183,54 +186,49 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _run_one_probe(name, cfg, root, ds, params) -> probes.ProbeReport:
-    n_inputs = cfg["probe_inputs"]
+def _sphere(root, params, count, draws=1) -> tuple:
+    """``draws`` disjoint draws of ``count`` unit-sphere inputs, one after
+    another from one ``probe-inputs`` substream."""
+    rng = root.substream("probe-inputs")
+    return tuple(data.unit_sphere_rows(rng, count, params.d) for _ in range(draws))
 
-    def sphere(count):
-        return data.unit_sphere_rows(root.substream("probe-inputs"), count, params.d)
 
-    if name == "activation_norms":
-        return probes.probe_activation_norms(params, sphere(n_inputs))
-    if name == "input_lipschitz":
-        rng = root.substream("probe-inputs")  # one stream, two disjoint draws
-        return probes.probe_input_lipschitz(params, tuple(
-            data.unit_sphere_rows(rng, n_inputs, params.d) for _ in range(2)))
-    if name == "weight_lipschitz_flips":
-        return probes.probe_weight_lipschitz_and_flips(
-            params, root.substream("ball"), sphere(min(n_inputs, 10)),
-            tuple(cfg["tau_grid"]), cfg["probe_draws"])
-    if name == "semismoothness":
-        xs = sphere(min(n_inputs, 20))
-        return probes.probe_semismoothness(
-            params, root.substream("ball"), xs, cfg["ball_tau"],
-            cfg["probe_draws"] * 4, dataset=ds)
-    if name == "gradient_bounds":
-        tcfg = trainer.TrainConfig(eta=resolved_eta(cfg, params.m),
-                                   steps=cfg["K"], stop_surrogate=0.25)
-        return probes.probe_gradient_bounds(params, ds, trainer.train(params, ds, tcfg))
-    if name == "separability":
-        return probes.probe_separability(ds.teacher, params, ds,
-                                         root.substream("control"))
-    if name == "threshold_indices":
-        return probes.probe_threshold_indices(params, sphere(n_inputs),
-                                              tuple(cfg["beta_grid"]))
-    if name == "sparse_output":
-        return probes.probe_sparse_output(params, root.substream("sparse"),
-                                          cfg["ball_tau"], cfg["sparsity"],
-                                          cfg["trials"])
-    if name == "loss_at_init":
-        return probes.probe_loss_at_init(params, ds)
-    if name == "rademacher":
-        return probes.rademacher_estimate(params, cfg["ball_tau"], ds,
-                                          root.substream("xi"),
-                                          cfg["xi_draws"], cfg["ascent_steps"])
-    if name == "surrogate_markov":
-        heldout = data.sample_dataset(ds.teacher, root.substream("heldout"),
-                                      cfg["heldout_n"])
-        return probes.probe_surrogate_markov(params, heldout, cfg["markov_band"])
-    if name == "depth_sweep":
-        return _depth_sweep(cfg)
-    raise UsageError(f"unknown probe {name!r}; valid: {', '.join(PROBE_NAMES)}")
+# Each probe's runner, (cfg, root, ds, params) -> ProbeReport, in the order
+# ``all`` runs them and index.json lists them.
+PROBES = {
+    "activation_norms": lambda cfg, root, ds, params: probes.probe_activation_norms(
+        params, *_sphere(root, params, cfg["probe_inputs"])),
+    "input_lipschitz": lambda cfg, root, ds, params: probes.probe_input_lipschitz(
+        params, _sphere(root, params, cfg["probe_inputs"], draws=2)),
+    "weight_lipschitz_flips": lambda cfg, root, ds, params:
+        probes.probe_weight_lipschitz_and_flips(
+            params, root.substream("ball"),
+            *_sphere(root, params, min(cfg["probe_inputs"], 10)),
+            tuple(cfg["tau_grid"]), cfg["probe_draws"]),
+    "semismoothness": lambda cfg, root, ds, params: probes.probe_semismoothness(
+        params, root.substream("ball"),
+        *_sphere(root, params, min(cfg["probe_inputs"], 20)),
+        cfg["ball_tau"], cfg["probe_draws"] * 4, dataset=ds),
+    "gradient_bounds": lambda cfg, root, ds, params: probes.probe_gradient_bounds(
+        params, ds, trainer.train(params, ds, trainer.TrainConfig(
+            eta=resolved_eta(cfg, params.m), steps=cfg["K"], stop_surrogate=0.25))),
+    "separability": lambda cfg, root, ds, params: probes.probe_separability(
+        ds.teacher, params, ds, root.substream("control")),
+    "threshold_indices": lambda cfg, root, ds, params: probes.probe_threshold_indices(
+        params, *_sphere(root, params, cfg["probe_inputs"]), tuple(cfg["beta_grid"])),
+    "sparse_output": lambda cfg, root, ds, params: probes.probe_sparse_output(
+        params, root.substream("sparse"), cfg["ball_tau"], cfg["sparsity"],
+        cfg["trials"]),
+    "loss_at_init": lambda cfg, root, ds, params: probes.probe_loss_at_init(params, ds),
+    "rademacher": lambda cfg, root, ds, params: probes.rademacher_estimate(
+        params, cfg["ball_tau"], ds, root.substream("xi"), cfg["xi_draws"],
+        cfg["ascent_steps"]),
+    "surrogate_markov": lambda cfg, root, ds, params: probes.probe_surrogate_markov(
+        params, data.sample_dataset(ds.teacher, root.substream("heldout"),
+                                    cfg["heldout_n"]), cfg["markov_band"]),
+    "depth_sweep": lambda cfg, root, ds, params: _depth_sweep(cfg),
+}
+PROBE_NAMES = list(PROBES)
 
 
 def cmd_probe(cfg) -> int:
@@ -255,11 +253,14 @@ def cmd_probe(cfg) -> int:
         ds = data.load_dataset(path)
     else:
         ds = data.make_dataset(root, cfg["d"], cfg["M"], cfg["gamma"], cfg["n"])
+    if {"gradient_bounds", "separability"} & set(names) and not ds.teacher.gamma > 0:
+        raise model.ConfigError("gradient_bounds and separability divide by the "
+                                "dataset's margin: gamma must be > 0")
     params = _load_or_init_params(cfg, root, ds)
     os.makedirs(cfg["out"], exist_ok=True)
     index = {"reports": [], "verdicts": {}}
     for name in names:
-        report = _run_one_probe(name, cfg, root, ds, params)
+        report = PROBES[name](cfg, root, ds, params)
         paths = report.write(cfg["out"])
         index["reports"].append(os.path.basename(paths["report"]))
         index["verdicts"][report.name] = report.verdict
@@ -349,7 +350,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--arch", choices=["residual", "plain"], default=None)
+        p.add_argument("--arch", default=None)
         p.add_argument("--data", default=None, help="dataset file path")
         p.add_argument("--checkpoint", default=None, help="network checkpoint path")
         p.add_argument("--probes", default=None,

@@ -160,7 +160,7 @@ def sample_dataset(teacher: Teacher, rng: RngState, n: int,
                     f"acceptance rate {rate:.4%} below {MIN_ACCEPT_RATE:.0%} pilot floor: "
                     f"gamma={gamma} is infeasible for this teacher")
 
-    xs = np.concatenate(kept_x)[:n]
+    xs = np.concatenate(kept_x)[:n].copy()  # a view would pin every kept row
     fs = np.concatenate(kept_f)[:n]
     ys = np.where(fs > 0.0, 1.0, -1.0)
     pos_frac = float(np.mean(ys > 0))
@@ -199,7 +199,6 @@ SIZES = ("a nonempty list of positive integers below 2**28",
          lambda v: type(v) is list and v != [] and all(map(SIZE[1], v)))
 POSITIVES = ("a nonempty list of finite numbers above 0", lambda v: type(v) is list
              and v != [] and all(NUMBER[1](x) and x > 0 for x in v))
-TEXTS = ("a list of strings", lambda v: type(v) is list and all(map(TEXT[1], v)))
 SEED = ("null or two integers >= 0", lambda v: v is None or (
     type(v) is list and len(v) == 2 and all(type(s) is int and s >= 0 for s in v)))
 

@@ -166,13 +166,6 @@ class PerturbationBall:
         """One whole draw: every layer of the layer stream, kept."""
         return self.center.with_weights([w for _, w in self.layers()])
 
-    def shifted(self, deltas) -> NetworkParams:
-        """The center moved by ``deltas`` (one per layer, None for no move),
-        kept inside the ball."""
-        return self.center.with_weights(
-            [w if d is None else self._place(w, d)
-             for w, d in zip(self.center.weights, deltas)])
-
     def _place(self, w, delta):
         """The one projection onto the ball: ``w + delta``, written into
         ``delta``, its stored difference shrunk radially until within tau.
@@ -441,7 +434,8 @@ def flip_targeted_draw(ball: PerturbationBall, x, g) -> NetworkParams:
     else:
         j = int(np.argmin(np.abs(a)))
         u[j] = ball.tau * push[j]
-    return ball.shifted([np.outer(x, u)] + [None] * center.depth)
+    return center.with_weights([ball._place(center.weights[0], np.outer(x, u)),
+                                *center.weights[1:]])
 
 
 def probe_semismoothness(params: NetworkParams, rng: RngState, inputs,

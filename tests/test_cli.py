@@ -114,7 +114,10 @@ class TestConfig:
         # a finite radius whose square overflows has no measurable ball
         pytest.param("train", "eta_scale", 10**400, id="train-eta_scale-10**400"),
         ("probe --probes rademacher", "ball_tau", 1e300),
-        ("probe --probes semismoothness", "ball_tau", 1e200)])
+        ("probe --probes semismoothness", "ball_tau", 1e200),
+        # an arch outside the model's two passed for a list of strings
+        pytest.param("train", "sweep_arch", ["residual", "foo"],
+                     id="train-sweep_arch-foo")])
     def test_rejected_value_exits_4(self, tmp_path, capsys, command, key, value):
         command, *flags = command.split()  # a case may name its probes
         out = str(tmp_path / "o")
@@ -144,6 +147,33 @@ class TestConfig:
                      "--probes", probe]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body", ["5", "null", '[["d", 4]]', "[]"])
+    def test_config_that_is_not_an_object_exits_4(self, tmp_path, capsys, body):
+        # three ended in a TypeError traceback, and [] ran on the defaults
+        path = tmp_path / "c.json"
+        path.write_text(body)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert "JSON object" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_unknown_arch_exits_4_from_a_flag_or_a_file(self, tmp_path, capsys, command):
+        # one KEYS rule for both: a file's arch passed load and gen-data echoed
+        # it into gen_report.json
+        want = "usage error: config value arch='foo' must be 'residual' or 'plain'"
+        out = str(tmp_path / "o")
+        capsys.readouterr()
+        assert main([command, "--config", write_config(tmp_path / "c.json"),
+                     "--out", out, "--arch", "foo"]) == 4
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert main([command, "--config", write_config(tmp_path / "c.json", arch="foo"),
+                     "--out", out]) == 4
+        assert capsys.readouterr().err.splitlines() == [want]
         assert not (tmp_path / "o").exists()
 
     def test_removed_knobs_exit_4(self, tmp_path):
@@ -232,7 +262,12 @@ class TestTrain:
 
 class TestProbe:
     def test_all_resolves_to_every_probe(self):
-        assert len(cli.PROBE_NAMES) == 12
+        # one table: its order is the order all runs and index.json lists
+        assert cli.PROBE_NAMES == list(cli.PROBES) == [
+            "activation_norms", "input_lipschitz", "weight_lipschitz_flips",
+            "semismoothness", "gradient_bounds", "separability", "threshold_indices",
+            "sparse_output", "loss_at_init", "rademacher", "surrogate_markov",
+            "depth_sweep"]
         cfg = cli.load_config(None, {"probes": "all"})
         assert cfg["probes"] == "all"  # cmd_probe expands this to PROBE_NAMES
 
@@ -266,6 +301,26 @@ class TestProbe:
         # a probe that trains nothing takes K 0
         assert main(["probe", "--config", bad, "--out", str(tmp_path / "o"),
                      "--probes", "loss_at_init"]) == 0
+
+    @pytest.mark.parametrize("names", ["gradient_bounds", "separability", "all"])
+    @pytest.mark.parametrize("source", ["config", "data"])
+    def test_zero_margin_exits_4(self, tmp_path, capsys, names, source):
+        # both probes divide by the dataset's margin: a ZeroDivisionError
+        # traceback.  The dataset's gamma is checked, as a --data file's
+        # header may hold 0 whatever the config says
+        bad = write_config(tmp_path / "bad.json", gamma=0)
+        flags = ["--config", bad]
+        if source == "data":
+            assert main(["gen-data", "--config", bad, "--out", str(tmp_path / "d")]) == 0
+            flags = ["--config", write_config(tmp_path / "c.json"),
+                     "--data", str(tmp_path / "d" / "dataset.bin")]
+        capsys.readouterr()
+        assert main(["probe", *flags, "--out", str(tmp_path / "o"),
+                     "--probes", names]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert "gamma must be > 0" in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("names", ["", ",", " , "])
     def test_empty_probe_list_exits_4(self, tmp_path, capsys, cfg_file, names):

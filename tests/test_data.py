@@ -135,6 +135,14 @@ class TestSampling:
         with pytest.raises(ValueError):  # no pilot, no rate
             sample_dataset(t, rng.substream("d"), 200, pilot_draws=0)
 
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_samples_own_their_rows(self, n):
+        # a view of the kept rows would pin every row the pilot kept (14,736
+        # at seed 0) for as long as the dataset lives
+        ds = data.make_dataset(RngState(0), 10, 64, 0.1, n)
+        assert ds.xs.flags.owndata and ds.xs.base is None
+        assert ds.xs.shape == (n, 10)
+
 
 class TestPersistence:
     def make_ds(self, seed=9):

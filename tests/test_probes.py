@@ -95,7 +95,7 @@ class TestPerturbationBall:
         tau = 1.5e-16 * np.sqrt(w1.size)
         ball = PerturbationBall(ones, tau, rng.substream("b3"))
         with pytest.raises(RuntimeError, match="exceeds tau"):
-            ball.shifted([np.full(w1.shape, 1.5e-16)] + [None] * params.depth)
+            ball._place(w1, np.full(w1.shape, 1.5e-16))
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e200])
     def test_place_returns_nan_for_a_difference_of_non_finite_norm(self, toy, entry):
@@ -106,9 +106,9 @@ class TestPerturbationBall:
         ball = PerturbationBall(params, 0.1, rng.substream("b4"))
         w1 = params.weights[0]
         with np.errstate(over="ignore"):
-            moved = ball.shifted([np.full(w1.shape, entry)] + [None] * params.depth)
-        assert np.isnan(moved.weights[0]).all()
-        assert all(a is b for a, b in zip(moved.weights[1:], params.weights[1:]))
+            moved = ball._place(w1, np.full(w1.shape, entry))
+        assert np.isnan(moved).all()
+        assert np.isfinite(w1).all()  # the center is not written
 
 
 def _cell(text):
